@@ -168,7 +168,7 @@ int main() {
   // like any other — queryable, chartable, retained.
   std::printf("\n-- self-monitoring (lms_internal, via obs self-scrape) --\n");
   std::printf("self-scrape: %llu scrapes, %llu failures\n",
-              static_cast<unsigned long long>(harness.self_scrape()->scrapes()),
+              static_cast<unsigned long long>(harness.self_scrape()->exports()),
               static_cast<unsigned long long>(harness.self_scrape()->failures()));
   const char* internal_metrics[] = {"router_points_in", "router_write_ns", "tsdb_samples",
                                     "http_server_requests"};

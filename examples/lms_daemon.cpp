@@ -19,10 +19,9 @@
 #include "lms/core/taskscheduler.hpp"
 #include "lms/net/tcp_http.hpp"
 #include "lms/obs/cpuprofiler.hpp"
+#include "lms/obs/exporter.hpp"
 #include "lms/obs/metrics.hpp"
-#include "lms/obs/selfscrape.hpp"
 #include "lms/obs/trace.hpp"
-#include "lms/obs/traceexport.hpp"
 #include "lms/tsdb/http_api.hpp"
 #include "lms/tsdb/persist.hpp"
 #include "lms/util/config.hpp"
@@ -51,6 +50,9 @@ snapshot =               ; path for save/load across restarts (empty = off)
 [alerting]
 interval_seconds = 5     ; evaluator cadence while serving
 deadman_seconds = 30     ; fire when a host stops writing this long (0 = off)
+
+[observability]
+self_scrape_seconds = 5  ; lms_internal self-scrape cadence into the TSDB
 
 [tracing]
 sample_rate = 1.0        ; head-sampling probability for new root traces
@@ -148,42 +150,29 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // Self-scrape: the daemon writes its own registry through the router, so
-  // operators can chart the stack's health ("lms_internal") next to the
-  // cluster data it stores.
+  // The daemon's own telemetry goes through the router into the TSDB it
+  // serves, next to the cluster data it stores.
   net::TcpHttpClient scrape_client;  // plain client: no trace/metrics feedback loop
-  obs::SelfScrape::Options ss_opts;
-  ss_opts.tags = {{"hostname", "lms-daemon"}};
-  ss_opts.interval = static_cast<util::TimeNs>(
-      config->get_int_or("observability", "self_scrape_seconds", 5)) *
-      util::kNanosPerSecond;
-  obs::SelfScrape self_scrape(
-      registry, clock,
-      [&](const std::string& body) -> util::Status {
-        auto resp = scrape_client.post(
-            router_server.url() + "/write?db=" + db_opts.default_db, body, "text/plain");
-        if (!resp.ok()) return util::Status::error(resp.message());
-        if (!resp->ok()) return util::Status::error("HTTP " + std::to_string(resp->status));
-        return util::Status();
-      },
-      ss_opts);
+  const auto write_to_router = [&](const std::string& body) {
+    return net::post_write(scrape_client, router_server.url(), db_opts.default_db, body);
+  };
+  const auto seconds = [&](const char* section, const char* key, std::int64_t fallback) {
+    return config->get_int_or(section, key, fallback) * util::kNanosPerSecond;
+  };
 
-  // Trace exporter: the daemon's own spans (HTTP server/client, router
-  // write path, query execution) land in the TSDB it serves, so
-  // GET <db>/trace/<id> works on a live deployment.
-  obs::TraceExporter::Options te_opts;
-  te_opts.host = "lms-daemon";
-  te_opts.interval = static_cast<util::TimeNs>(
-      config->get_int_or("tracing", "export_seconds", 5)) * util::kNanosPerSecond;
-  obs::TraceExporter trace_exporter(
-      [&](const std::string& body) -> util::Status {
-        auto resp = scrape_client.post(
-            router_server.url() + "/write?db=" + db_opts.default_db, body, "text/plain");
-        if (!resp.ok()) return util::Status::error(resp.message());
-        if (!resp->ok()) return util::Status::error("HTTP " + std::to_string(resp->status));
-        return util::Status();
-      },
-      te_opts);
+  // Self-scrape: operators chart the stack's health ("lms_internal").
+  const util::TimeNs self_scrape_interval =
+      seconds("observability", "self_scrape_seconds", 5);
+  obs::Exporter self_scrape("obs.selfscrape", self_scrape_interval,
+                            obs::registry_source(registry, clock, {{"hostname", "lms-daemon"}}),
+                            write_to_router);
+
+  // Trace export: the daemon's own spans (HTTP server/client, router write
+  // path, query execution) land in lms_traces, so GET <db>/trace/<id> works
+  // on a live deployment.
+  obs::Exporter trace_exporter("obs.traceexport", seconds("tracing", "export_seconds", 5),
+                               obs::span_source(obs::SpanRecorder::global(), "lms-daemon"),
+                               write_to_router);
 
   // CPU profiler from [profiling]: continuous SIGPROF sampling of the
   // daemon itself. Collapsed stacks are served at GET /debug/pprof (and an
@@ -191,31 +180,21 @@ int main(int argc, char** argv) {
   // stacks land in the TSDB as lms_profiles through the router, tagged
   // with the trace id of whatever request was in flight when sampled.
   const bool profiling_enabled = config->get_bool_or("profiling", "enable", true);
-  std::unique_ptr<obs::ProfileExporter> profile_exporter;
+  std::unique_ptr<obs::Exporter> profile_exporter;
   if (profiling_enabled) {
+    obs::CpuProfiler& profiler = obs::CpuProfiler::instance();
     obs::CpuProfiler::Options prof_opts;
     prof_opts.hz = static_cast<int>(config->get_int_or("profiling", "hz", 99));
     prof_opts.wall = config->get_bool_or("profiling", "wall", false);
-    if (auto status = obs::CpuProfiler::instance().start(prof_opts); !status.ok()) {
+    if (auto status = profiler.start(prof_opts); !status.ok()) {
       std::fprintf(stderr, "profiler: %s\n", status.message().c_str());
     } else {
-      obs::ProfileExporter::Options pe_opts;
-      pe_opts.host = "lms-daemon";
-      pe_opts.interval = static_cast<util::TimeNs>(
-          config->get_int_or("profiling", "export_seconds", 10)) * util::kNanosPerSecond;
-      pe_opts.top_k =
-          static_cast<std::size_t>(config->get_int_or("profiling", "top_k", 20));
-      profile_exporter = std::make_unique<obs::ProfileExporter>(
-          [&](const std::string& body) -> util::Status {
-            auto resp = scrape_client.post(
-                router_server.url() + "/write?db=" + db_opts.default_db, body, "text/plain");
-            if (!resp.ok()) return util::Status::error(resp.message());
-            if (!resp->ok()) {
-              return util::Status::error("HTTP " + std::to_string(resp->status));
-            }
-            return util::Status();
-          },
-          pe_opts);
+      profile_exporter = std::make_unique<obs::Exporter>(
+          "obs.profileexport", seconds("profiling", "export_seconds", 10),
+          obs::profile_source(
+              profiler, clock, "lms-daemon",
+              static_cast<std::size_t>(config->get_int_or("profiling", "top_k", 20))),
+          write_to_router);
     }
   }
 
@@ -302,7 +281,7 @@ int main(int argc, char** argv) {
     std::printf("serving for %d seconds (%zu scheduler workers, self-scrape every %lld s, "
                 "alert eval every %lld s, deadman %lld s)...\n",
                 serve_seconds, sched.worker_count(),
-                static_cast<long long>(ss_opts.interval / util::kNanosPerSecond),
+                static_cast<long long>(self_scrape_interval / util::kNanosPerSecond),
                 static_cast<long long>(alert_interval / util::kNanosPerSecond),
                 static_cast<long long>(alert_opts.deadman_window / util::kNanosPerSecond));
     std::this_thread::sleep_for(std::chrono::seconds(serve_seconds));
@@ -344,7 +323,7 @@ int main(int argc, char** argv) {
     check("router /metrics shows ingest",
           resp.ok() && resp->status == 200 &&
               resp->body.find("router_points_in 1") != std::string::npos);
-    check("self-scrape into own TSDB", self_scrape.scrape_once().ok());
+    check("self-scrape into own TSDB", self_scrape.export_once().ok());
     (void)router.flush_ingest();
     resp = client.get(db_server.url() + "/query?db=lms&q=" +
                       util::url_encode(

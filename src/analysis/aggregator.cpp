@@ -93,13 +93,12 @@ std::size_t StreamAggregator::emit_completed(util::TimeNs now, bool force) {
     }
   }
   if (out.empty()) return 0;
-  const std::string body = lineproto::serialize_batch(out);
-  auto resp = client_.post(options_.router_url + "/write?db=" + options_.database, body,
-                           "text/plain");
+  const util::Status status = net::post_write(client_, options_.router_url, options_.database,
+                                              lineproto::serialize_batch(out));
   const core::sync::LockGuard lock(mu_);
-  if (!resp.ok() || !resp->ok()) {
+  if (!status.ok()) {
     ++stats_.send_failures;
-    LMS_WARN("aggregator") << "emit failed";
+    LMS_WARN("aggregator") << "emit failed: " << status.message();
     return 0;
   }
   stats_.points_emitted += out.size();

@@ -29,12 +29,11 @@ std::size_t FindingRecorder::record(const std::vector<Finding>& findings) {
     p.normalize();
     points.push_back(std::move(p));
   }
-  const std::string body = lineproto::serialize_batch(points);
-  auto resp =
-      client_.post(router_url_ + "/write?db=" + database_, body, "text/plain");
-  if (!resp.ok() || !resp->ok()) {
+  const util::Status status =
+      net::post_write(client_, router_url_, database_, lineproto::serialize_batch(points));
+  if (!status.ok()) {
     ++failures_;
-    LMS_WARN("recorder") << "alert write failed";
+    LMS_WARN("recorder") << "alert write failed: " << status.message();
     return 0;
   }
   recorded_ += points.size();

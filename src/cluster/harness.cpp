@@ -11,6 +11,14 @@
 
 namespace lms::cluster {
 
+namespace {
+
+constexpr util::TimeNs kSelfScrapeInterval = util::kNanosPerMinute;
+constexpr util::TimeNs kProfileExportInterval = 30 * util::kNanosPerSecond;
+constexpr std::size_t kProfileTopK = 20;
+
+}  // namespace
+
 ClusterHarness::ClusterHarness(Options options)
     : options_(std::move(options)),
       clock_(options_.start_time),
@@ -151,48 +159,30 @@ ClusterHarness::ClusterHarness(Options options)
     // Probe surface per node so the deadman story is inspectable over HTTP.
     network_.bind(kAgentEndpointPrefix + nodes_.back().name, nodes_.back().agent->handler());
   }
+  // Every exporter writes through the router, the hop every collector
+  // batch takes.
+  const auto write_to_router = [this](const std::string& body) {
+    return net::post_write(*client_, std::string("inproc://") + kRouterEndpoint,
+                           options_.database, body);
+  };
+
   // The stack monitoring itself: scrape the shared registry back through
   // the router so lms_internal is queryable like any other measurement.
   if (options_.enable_self_scrape) {
-    obs::SelfScrape::Options ss_opts;
-    ss_opts.tags = {{"hostname", "lms-stack"}};
-    ss_opts.interval = options_.self_scrape_interval;
-    self_scrape_ = std::make_unique<obs::SelfScrape>(
-        registry_, clock_,
-        [this](const std::string& body) -> util::Status {
-          const std::string url = std::string("inproc://") + kRouterEndpoint +
-                                  "/write?db=" + options_.database;
-          auto resp = client_->post(url, body, "text/plain");
-          if (!resp.ok()) return util::Status::error(resp.message());
-          if (!resp->ok()) {
-            return util::Status::error("HTTP " + std::to_string(resp->status));
-          }
-          return util::Status();
-        },
-        ss_opts);
+    self_scrape_ = std::make_unique<obs::Exporter>(
+        "obs.selfscrape", kSelfScrapeInterval,
+        obs::registry_source(registry_, clock_, {{"hostname", "lms-stack"}}), write_to_router);
   }
 
   // Distributed tracing: head-sampling rate + a deterministic exporter
-  // draining the process-global recorder through the router (the same hop
-  // every collector batch takes). drain_traces() drives it; the real-time
-  // thread stays off so simulations remain reproducible.
+  // draining the process-global recorder. drain_traces() drives it; it is
+  // never attached, so simulations remain reproducible.
   prev_trace_sample_rate_ = obs::trace_sample_rate();
   if (options_.enable_tracing) {
     obs::set_trace_sample_rate(options_.trace_sample_rate);
-    obs::TraceExporter::Options te_opts;
-    te_opts.host = "lms-stack";
-    trace_exporter_ = std::make_unique<obs::TraceExporter>(
-        [this](const std::string& body) -> util::Status {
-          const std::string url = std::string("inproc://") + kRouterEndpoint +
-                                  "/write?db=" + options_.database;
-          auto resp = client_->post(url, body, "text/plain");
-          if (!resp.ok()) return util::Status::error(resp.message());
-          if (!resp->ok()) {
-            return util::Status::error("HTTP " + std::to_string(resp->status));
-          }
-          return util::Status();
-        },
-        te_opts);
+    trace_exporter_ = std::make_unique<obs::Exporter>(
+        "obs.traceexport", 0, obs::span_source(obs::SpanRecorder::global(), "lms-stack"),
+        write_to_router);
   }
 
   // Continuous CPU profiling, deterministic flavor: the process-wide
@@ -204,28 +194,14 @@ ClusterHarness::ClusterHarness(Options options)
   // runs without one.
   if (options_.enable_cpuprofile) {
     obs::CpuProfiler::Options prof_opts;
-    prof_opts.hz = options_.cpuprofile_hz;
     prof_opts.timer = false;
     prof_opts.fold_interval = options_.step;
-    cpuprofile_started_ = obs::CpuProfiler::instance().start(prof_opts).ok();
+    obs::CpuProfiler& profiler = obs::CpuProfiler::instance();
+    cpuprofile_started_ = profiler.start(prof_opts).ok();
     if (cpuprofile_started_) {
-      obs::ProfileExporter::Options pe_opts;
-      pe_opts.host = "lms-stack";
-      pe_opts.interval = options_.cpuprofile_export_interval;
-      pe_opts.top_k = options_.cpuprofile_top_k;
-      pe_opts.clock = &clock_;
-      profile_exporter_ = std::make_unique<obs::ProfileExporter>(
-          [this](const std::string& body) -> util::Status {
-            const std::string url = std::string("inproc://") + kRouterEndpoint +
-                                    "/write?db=" + options_.database;
-            auto resp = client_->post(url, body, "text/plain");
-            if (!resp.ok()) return util::Status::error(resp.message());
-            if (!resp->ok()) {
-              return util::Status::error("HTTP " + std::to_string(resp->status));
-            }
-            return util::Status();
-          },
-          pe_opts);
+      profile_exporter_ = std::make_unique<obs::Exporter>(
+          "obs.profileexport", kProfileExportInterval,
+          obs::profile_source(profiler, clock_, "lms-stack", kProfileTopK), write_to_router);
     }
   }
 
@@ -292,24 +268,18 @@ ClusterHarness::~ClusterHarness() {
   }
 }
 
-std::size_t ClusterHarness::drain_traces() {
-  if (trace_exporter_ == nullptr) return 0;
-  const std::uint64_t before = trace_exporter_->spans_exported();
-  (void)trace_exporter_->export_once();
-  // Land the exported spans: with async ingest on they are still sitting in
-  // the router's queues after the POST above.
-  if (options_.async_ingest) (void)router_->flush_ingest();
-  return static_cast<std::size_t>(trace_exporter_->spans_exported() - before);
-}
+std::size_t ClusterHarness::drain_traces() { return drain(trace_exporter_.get()); }
 
-std::size_t ClusterHarness::drain_profiles() {
-  if (profile_exporter_ == nullptr) return 0;
-  const std::uint64_t before = profile_exporter_->stacks_exported();
-  (void)profile_exporter_->export_once();
-  // Land the exported stacks: with async ingest on they are still sitting
+std::size_t ClusterHarness::drain_profiles() { return drain(profile_exporter_.get()); }
+
+std::size_t ClusterHarness::drain(obs::Exporter* exporter) {
+  if (exporter == nullptr) return 0;
+  const std::uint64_t before = exporter->points_exported();
+  (void)exporter->export_once();
+  // Land the exported points: with async ingest on they are still sitting
   // in the router's queues after the POST above.
   if (options_.async_ingest) (void)router_->flush_ingest();
-  return static_cast<std::size_t>(profile_exporter_->stacks_exported() - before);
+  return static_cast<std::size_t>(exporter->points_exported() - before);
 }
 
 void ClusterHarness::set_node_active(const std::string& name, bool active) {
@@ -467,14 +437,10 @@ void ClusterHarness::flush_profilers(ActiveJob& job, util::TimeNs now) {
                   std::make_move_iterator(drained.end()));
   }
   if (points.empty()) return;
-  const std::string url =
-      std::string("inproc://") + kRouterEndpoint + "/write?db=" + options_.database;
-  auto resp = client_->post(url, lineproto::serialize_batch(points), "text/plain");
-  if (!resp.ok() || !resp->ok()) {
-    LMS_WARN("cluster") << "lms_regions flush failed: "
-                        << (resp.ok() ? "HTTP " + std::to_string(resp->status)
-                                      : resp.message());
-  }
+  const util::Status status =
+      net::post_write(*client_, std::string("inproc://") + kRouterEndpoint, options_.database,
+                      lineproto::serialize_batch(points));
+  if (!status.ok()) LMS_WARN("cluster") << "lms_regions flush failed: " << status.message();
 }
 
 const ClusterHarness::JobRecord* ClusterHarness::job_record(int job_id) const {

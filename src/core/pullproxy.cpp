@@ -84,11 +84,12 @@ std::size_t PullProxy::tick(util::TimeNs now) {
       continue;
     }
     if (points->empty()) continue;
-    const std::string body = lineproto::serialize_batch(*points);
-    auto resp = client_.post(router_url_ + "/write?db=" + database_, body, "text/plain");
-    if (!resp.ok() || !resp->ok()) {
+    const util::Status status =
+        net::post_write(client_, router_url_, database_, lineproto::serialize_batch(*points));
+    if (!status.ok()) {
       ++pull_failures_;
-      LMS_WARN("pullproxy") << s.source->name() << ": push to router failed";
+      LMS_WARN("pullproxy") << s.source->name() << ": push to router failed: "
+                            << status.message();
       continue;
     }
     pushed += points->size();

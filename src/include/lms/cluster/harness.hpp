@@ -34,10 +34,9 @@
 #include "lms/dashboard/agent.hpp"
 #include "lms/hpm/monitor.hpp"
 #include "lms/obs/cpuprofiler.hpp"
+#include "lms/obs/exporter.hpp"
 #include "lms/obs/metrics.hpp"
-#include "lms/obs/selfscrape.hpp"
 #include "lms/obs/trace.hpp"
-#include "lms/obs/traceexport.hpp"
 #include "lms/profiling/profiler.hpp"
 #include "lms/sched/scheduler.hpp"
 #include "lms/tsdb/continuous.hpp"
@@ -76,11 +75,11 @@ class ClusterHarness {
     /// Note: this drains the online engine's findings each step; read them
     /// from the alerts measurement instead of take_findings().
     bool record_findings = false;
-    /// Periodically write the shared metrics registry back through the
-    /// router as "lms_internal" points — the stack monitoring itself
-    /// (driven from the sim clock, so it is deterministic like the rest).
+    /// Once a simulated minute, write the shared metrics registry back
+    /// through the router as "lms_internal" points — the stack monitoring
+    /// itself (driven from the sim clock, so it is deterministic like the
+    /// rest).
     bool enable_self_scrape = false;
-    util::TimeNs self_scrape_interval = util::kNanosPerMinute;
     /// Run an alert::Evaluator against the storage every alert_interval,
     /// with a deadman absence watch per node (fires when a host stops
     /// writing for deadman_window). Transitions land in "lms_alerts" and on
@@ -89,9 +88,9 @@ class ClusterHarness {
     util::TimeNs alert_interval = 30 * util::kNanosPerSecond;
     util::TimeNs deadman_window = 2 * util::kNanosPerMinute;
     /// Distributed tracing: set the process-global head-sampling rate and
-    /// wire a TraceExporter that drains the span recorder through the
-    /// router into the shared TSDB. The exporter's real-time thread is
-    /// never started — traces land deterministically via drain_traces().
+    /// wire a span exporter that drains the span recorder through the
+    /// router into the shared TSDB. The exporter is never attached —
+    /// traces land deterministically via drain_traces().
     bool enable_tracing = false;
     double trace_sample_rate = 1.0;
     /// Region profiling: every job node gets a profiling::Profiler with an
@@ -109,13 +108,11 @@ class ClusterHarness {
     /// Continuous CPU profiling in deterministic mode: start the
     /// process-wide obs::CpuProfiler timer-less (no SIGPROF — the harness
     /// captures one sample per simulation step via sample_once()), fold on
-    /// the manual scheduler's periodic task, and export the top stacks
+    /// the manual scheduler's periodic task, and export the top 20 stacks
     /// through the router as "lms_profiles" points stamped from the sim
-    /// clock. drain_profiles() forces an export mid-test.
+    /// clock every 30 simulated seconds. drain_profiles() forces an export
+    /// mid-test.
     bool enable_cpuprofile = false;
-    int cpuprofile_hz = 99;  ///< recorded in stats; no real timer fires
-    util::TimeNs cpuprofile_export_interval = 30 * util::kNanosPerSecond;
-    std::size_t cpuprofile_top_k = 20;
   };
 
   explicit ClusterHarness(Options options);
@@ -160,14 +157,14 @@ class ClusterHarness {
   /// The stack-wide metrics registry every component reports into.
   obs::Registry& registry() { return registry_; }
   /// Present iff Options::enable_self_scrape.
-  obs::SelfScrape* self_scrape() { return self_scrape_.get(); }
+  obs::Exporter* self_scrape() { return self_scrape_.get(); }
   /// Present iff Options::enable_alerts.
   alert::Evaluator* alerts() { return alert_evaluator_.get(); }
   /// Present iff Options::enable_tracing.
-  obs::TraceExporter* trace_exporter() { return trace_exporter_.get(); }
+  obs::Exporter* trace_exporter() { return trace_exporter_.get(); }
   /// Present iff Options::enable_cpuprofile (and the process-wide profiler
   /// was free to start).
-  obs::ProfileExporter* profile_exporter() { return profile_exporter_.get(); }
+  obs::Exporter* profile_exporter() { return profile_exporter_.get(); }
   const Options& options() const { return options_; }
 
   /// Export every finished span into the TSDB now (and land it through the
@@ -233,6 +230,8 @@ class ClusterHarness {
   void step_once();
   void run_phases(SimNode& node, ActiveJob& job, util::TimeNs now);
   void flush_profilers(ActiveJob& job, util::TimeNs now);
+  /// Export once and land the points (drain_traces / drain_profiles).
+  std::size_t drain(obs::Exporter* exporter);
 
   Options options_;
   util::SimClock clock_;
@@ -262,9 +261,9 @@ class ClusterHarness {
   std::unique_ptr<analysis::StreamAggregator> aggregator_;
   std::unique_ptr<analysis::FindingRecorder> finding_recorder_;
   std::unique_ptr<tsdb::CqRunner> cq_runner_;
-  std::unique_ptr<obs::SelfScrape> self_scrape_;
-  std::unique_ptr<obs::TraceExporter> trace_exporter_;
-  std::unique_ptr<obs::ProfileExporter> profile_exporter_;
+  std::unique_ptr<obs::Exporter> self_scrape_;
+  std::unique_ptr<obs::Exporter> trace_exporter_;
+  std::unique_ptr<obs::Exporter> profile_exporter_;
   /// True when this harness started the process-wide CpuProfiler (and so
   /// owns stopping + clearing it on teardown).
   bool cpuprofile_started_ = false;

@@ -14,6 +14,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "lms/core/sync.hpp"
 #include "lms/net/http.hpp"
@@ -58,6 +59,11 @@ class HttpClient {
                                   std::string_view content_type);
   util::Result<HttpResponse> get(const std::string& url);
 };
+
+/// POST a line-protocol body to "<base_url>/write?db=<db>" (db URL-encoded).
+/// OK on a 2xx reply; otherwise the transport error, or "HTTP <status>".
+util::Status post_write(HttpClient& client, const std::string& base_url, std::string_view db,
+                        const std::string& body);
 
 /// In-process "network": a registry of named HTTP endpoints.
 ///

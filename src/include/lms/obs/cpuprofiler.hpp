@@ -36,7 +36,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -206,67 +205,6 @@ class CpuProfiler : public core::Runnable {
   std::unordered_map<void*, std::string> symbols_ LMS_GUARDED_BY(table_mu_);
 
   core::PeriodicTaskHandle fold_task_;
-};
-
-/// Default measurement profile points are exported under.
-inline constexpr std::string_view kProfileMeasurement = "lms_profiles";
-
-/// Periodically writes the profiler's top-K stacks through the router as an
-/// `lms_profiles` measurement, so profiles are queryable and alertable like
-/// any other series. Mirrors TraceExporter: the write target is a callback
-/// (obs must not depend on net), export_once() serves sim harnesses, and
-/// attach() adds a periodic "obs.profileexport" task.
-///
-/// Point format — one point per exported stack:
-///   measurement  lms_profiles
-///   tags         host=<host>  rank=<0..K-1>  [trace_id=<016x>]
-///   fields       stack="<collapsed stack>"  frame="<leaf frame>"
-///                samples=<int>
-///   timestamp    export wall time
-class ProfileExporter : public core::Runnable {
- public:
-  using WriteFn = std::function<util::Status(const std::string& lineproto_body)>;
-
-  struct Options {
-    std::string measurement = std::string(kProfileMeasurement);
-    std::string host;
-    util::TimeNs interval = 30 * util::kNanosPerSecond;
-    /// Stacks exported per cycle, heaviest first (the "downsample").
-    std::size_t top_k = 20;
-    /// Profiler to export; nullptr = CpuProfiler::instance().
-    CpuProfiler* profiler = nullptr;
-    /// Wall timestamp source for exported points; nullptr = system clock.
-    /// The sim harness injects its SimClock so points land on the test's
-    /// time axis.
-    const util::Clock* clock = nullptr;
-  };
-
-  ProfileExporter(WriteFn write, Options options);
-  ~ProfileExporter() override;
-  ProfileExporter(const ProfileExporter&) = delete;
-  ProfileExporter& operator=(const ProfileExporter&) = delete;
-
-  /// Fold pending samples, then write the current top-K stacks. Returns OK
-  /// when there was nothing to export.
-  util::Status export_once();
-
-  std::uint64_t exports() const { return exports_.load(); }
-  std::uint64_t failures() const { return failures_.load(); }
-  std::uint64_t stacks_exported() const { return stacks_exported_.load(); }
-
- protected:
-  void on_attach(core::TaskScheduler& sched) override;
-  void on_detach() override;
-
- private:
-  WriteFn write_;
-  Options options_;
-  CpuProfiler& profiler_;
-
-  std::atomic<std::uint64_t> exports_{0};
-  std::atomic<std::uint64_t> failures_{0};
-  std::atomic<std::uint64_t> stacks_exported_{0};
-  core::PeriodicTaskHandle task_;
 };
 
 }  // namespace lms::obs

@@ -28,7 +28,7 @@
 //   render_text()  — Prometheus-style text for the GET /metrics endpoints,
 //   to_points()    — line-protocol points under one measurement
 //                    ("lms_internal") for the self-scrape loop that feeds
-//                    the stack's own TSDB (see selfscrape.hpp).
+//                    the stack's own TSDB (see exporter.hpp).
 
 #include <array>
 #include <atomic>

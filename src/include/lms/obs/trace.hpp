@@ -9,7 +9,7 @@
 // component in the "X-LMS-Trace: <trace16hex>-<span16hex>" request header,
 // which both transports (TCP and in-process) inject on the client side and
 // adopt on the server side. Finished spans land in a bounded in-memory
-// SpanRecorder queryable per trace — and the TraceExporter (traceexport.hpp)
+// SpanRecorder queryable per trace — and the span Exporter (exporter.hpp)
 // drains that ring into the shared TSDB as `lms_traces` points, so traces
 // from every process of a deployment can be assembled into one story by
 // `GET /trace/<id>` on the TSDB API.
@@ -179,8 +179,8 @@ class Span {
 
 /// RAII thread-local tracing suppression. While alive, Span construction on
 /// this thread is a no-op and transports do not inject trace headers. The
-/// TraceExporter wraps its own write in one of these so exporting spans
-/// through the router cannot generate spans about exporting spans.
+/// obs::Exporter wraps every export in one of these so writing telemetry
+/// through the router cannot generate spans about exporting telemetry.
 class TraceSuppressGuard {
  public:
   TraceSuppressGuard();

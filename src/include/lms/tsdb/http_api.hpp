@@ -33,7 +33,6 @@
 #include "lms/net/health.hpp"
 #include "lms/net/transport.hpp"
 #include "lms/obs/metrics.hpp"
-#include "lms/obs/traceexport.hpp"
 #include "lms/tsdb/query.hpp"
 #include "lms/tsdb/storage.hpp"
 #include "lms/util/clock.hpp"
@@ -64,8 +63,6 @@ class HttpApi : public core::Runnable {
     TimeNs slow_query_threshold = 10 * util::kNanosPerMilli;
     /// Bound of the slow-query ring (oldest evicted first).
     std::size_t slow_query_capacity = 64;
-    /// Measurement the trace exporters write; what /trace/<id> assembles.
-    std::string trace_measurement = std::string(obs::kTraceMeasurement);
     /// Recent-log ring served at /debug/logs (nullptr = endpoint disabled).
     /// The ring must outlive this API.
     util::LogRing* log_ring = nullptr;

@@ -3,7 +3,7 @@
 // Trace assembly: stitching exported spans back into one waterfall.
 //
 // Every process of a deployment exports its finished spans as `lms_traces`
-// points (obs/traceexport.hpp): one point per span, tagged by trace_id /
+// points (obs/exporter.hpp): one point per span, tagged by trace_id /
 // component / host, with the whole span carried as a self-contained JSON
 // string in the "span" field. This module is the read side — given a trace
 // id it collects those points from a storage snapshot (a tag-index lookup,
@@ -23,10 +23,9 @@
 
 #include <cstdint>
 #include <string>
-#include <string_view>
 #include <vector>
 
-#include "lms/obs/traceexport.hpp"
+#include "lms/obs/exporter.hpp"
 #include "lms/tsdb/storage.hpp"
 #include "lms/util/status.hpp"
 
@@ -60,11 +59,10 @@ struct TraceTree {
   std::vector<TraceNode> roots;     ///< ordered by start_ns
 };
 
-/// Assemble the spans of `trace_id` from a snapshot. An empty trace (no
-/// spans stored) is not an error: span_count == 0. `measurement` is where
-/// the exporters write (obs::kTraceMeasurement unless overridden).
-TraceTree assemble_trace(const ReadSnapshot& snapshot, std::uint64_t trace_id,
-                         std::string_view measurement = obs::kTraceMeasurement);
+/// Assemble the spans of `trace_id` from the obs::kTraceMeasurement points
+/// of a snapshot. An empty trace (no spans stored) is not an error:
+/// span_count == 0.
+TraceTree assemble_trace(const ReadSnapshot& snapshot, std::uint64_t trace_id);
 
 /// The tree as JSON for GET /trace/<id>:
 /// {"trace_id":"<016x>","span_count":N,"roots":[{span..,"children":[..]},..]}

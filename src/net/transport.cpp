@@ -40,6 +40,14 @@ util::Result<HttpResponse> HttpClient::get(const std::string& url) {
   return send(url, HttpRequest::get("/"));
 }
 
+util::Status post_write(HttpClient& client, const std::string& base_url, std::string_view db,
+                        const std::string& body) {
+  auto resp = client.post(base_url + "/write?db=" + util::url_encode(db), body, "text/plain");
+  if (!resp.ok()) return util::Status::error(resp.message());
+  if (!resp->ok()) return util::Status::error("HTTP " + std::to_string(resp->status));
+  return {};
+}
+
 void InprocNetwork::bind(const std::string& name, HttpHandler handler) {
   const core::sync::LockGuard lock(mu_);
   endpoints_[name] = std::move(handler);

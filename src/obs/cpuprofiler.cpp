@@ -16,7 +16,6 @@
 #include <algorithm>
 
 #include "lms/core/runtime.hpp"
-#include "lms/lineproto/codec.hpp"
 #include "lms/obs/trace.hpp"
 #include "lms/util/logging.hpp"
 
@@ -352,69 +351,6 @@ void CpuProfiler::on_attach(core::TaskScheduler& sched) {
 void CpuProfiler::on_detach() {
   fold_task_.cancel();
   process_once();  // final fold so late samples are not stranded in rings
-}
-
-// ---------------------------------------------------------------------------
-// ProfileExporter
-// ---------------------------------------------------------------------------
-
-ProfileExporter::ProfileExporter(WriteFn write, Options options)
-    : write_(std::move(write)),
-      options_(std::move(options)),
-      profiler_(options_.profiler != nullptr ? *options_.profiler
-                                             : CpuProfiler::instance()) {}
-
-ProfileExporter::~ProfileExporter() { detach(); }
-
-util::Status ProfileExporter::export_once() {
-  // Like TraceExporter: the write travels through the router like any
-  // batch; profile points about exporting profiles would feed back.
-  const TraceSuppressGuard suppress;
-  profiler_.process_once();
-  const std::vector<ProfileStack> stacks = profiler_.snapshot(options_.top_k);
-  if (stacks.empty()) return {};
-  const util::Clock& clock =
-      options_.clock != nullptr ? *options_.clock : util::WallClock::instance();
-  const util::TimeNs now = clock.now();
-  std::vector<lineproto::Point> points;
-  points.reserve(stacks.size());
-  for (std::size_t rank = 0; rank < stacks.size(); ++rank) {
-    const ProfileStack& s = stacks[rank];
-    lineproto::Point p;
-    p.measurement = options_.measurement;
-    if (!options_.host.empty()) p.set_tag("host", options_.host);
-    p.set_tag("rank", std::to_string(rank));
-    if (s.trace_id != 0) p.set_tag("trace_id", trace_id_hex(s.trace_id));
-    p.add_field("stack", s.stack);
-    const std::size_t leaf = s.stack.rfind(';');
-    p.add_field("frame",
-                leaf == std::string::npos ? s.stack : s.stack.substr(leaf + 1));
-    p.add_field("samples", static_cast<std::int64_t>(s.count));
-    p.timestamp = now;
-    p.normalize();
-    points.push_back(std::move(p));
-  }
-  util::Status status = write_(lineproto::serialize_batch(points));
-  exports_.fetch_add(1, std::memory_order_relaxed);
-  if (!status.ok()) {
-    failures_.fetch_add(1, std::memory_order_relaxed);
-    LMS_WARN("obs") << "profile export failed (" << points.size()
-                    << " stacks dropped): " << status.message();
-    return status;
-  }
-  stacks_exported_.fetch_add(points.size(), std::memory_order_relaxed);
-  return status;
-}
-
-void ProfileExporter::on_attach(core::TaskScheduler& sched) {
-  const util::TimeNs interval =
-      options_.interval > 0 ? options_.interval : util::kNanosPerSecond;
-  task_ = sched.submit_periodic("obs.profileexport", interval, [this] { export_once(); });
-}
-
-void ProfileExporter::on_detach() {
-  task_.cancel();
-  export_once();  // final export so the last fold is not lost
 }
 
 }  // namespace lms::obs

@@ -214,7 +214,7 @@ net::HttpResponse HttpApi::handle_trace(const net::HttpRequest& req) {
   if (!snap) {
     return net::HttpResponse::json(404, influx_error_json("database not found"));
   }
-  const TraceTree tree = assemble_trace(snap, *id, options_.trace_measurement);
+  const TraceTree tree = assemble_trace(snap, *id);
   if (req.query.get_or("format", "") == "waterfall") {
     return net::HttpResponse::text(200, trace_tree_to_waterfall(tree));
   }

@@ -72,8 +72,7 @@ void finish_node(TraceNode& node) {
 
 }  // namespace
 
-TraceTree assemble_trace(const ReadSnapshot& snapshot, std::uint64_t trace_id,
-                         std::string_view measurement) {
+TraceTree assemble_trace(const ReadSnapshot& snapshot, std::uint64_t trace_id) {
   TraceTree tree;
   tree.trace_id = trace_id;
   if (!snapshot) return tree;
@@ -81,7 +80,7 @@ TraceTree assemble_trace(const ReadSnapshot& snapshot, std::uint64_t trace_id,
   // 1. Decode: the trace_id tag makes this a tag-index lookup, not a scan.
   std::vector<TraceNode> nodes;
   const std::vector<Tag> required = {{"trace_id", obs::trace_id_hex(trace_id)}};
-  for (const Series* s : snapshot->series_matching(measurement, required)) {
+  for (const Series* s : snapshot->series_matching(obs::kTraceMeasurement, required)) {
     const auto cit = s->columns.find("span");
     if (cit == s->columns.end()) continue;
     for (const FieldValue& v : cit->second.values()) {

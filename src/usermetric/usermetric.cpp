@@ -76,14 +76,11 @@ bool UserMetricClient::flush() {
 
 bool UserMetricClient::flush_locked() {
   if (buffer_.empty()) return true;
-  const std::string body = lineproto::serialize_batch(buffer_);
-  auto resp = client_.post(options_.router_url + "/write?db=" + options_.database, body,
-                           "text/plain");
-  if (!resp.ok() || !resp->ok()) {
+  const util::Status status = net::post_write(client_, options_.router_url, options_.database,
+                                              lineproto::serialize_batch(buffer_));
+  if (!status.ok()) {
     ++stats_.send_failures;
-    LMS_WARN("usermetric") << "flush failed"
-                           << (resp.ok() ? " HTTP " + std::to_string(resp->status)
-                                         : ": " + resp.message());
+    LMS_WARN("usermetric") << "flush failed: " << status.message();
     return false;
   }
   stats_.points_sent += buffer_.size();

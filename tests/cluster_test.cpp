@@ -243,7 +243,7 @@ TEST(HarnessTest, SelfScrapeFeedsLmsInternal) {
   harness.run_for(5 * kNanosPerMinute);
 
   ASSERT_NE(harness.self_scrape(), nullptr);
-  EXPECT_GE(harness.self_scrape()->scrapes(), 4u);
+  EXPECT_GE(harness.self_scrape()->exports(), 4u);
   EXPECT_EQ(harness.self_scrape()->failures(), 0u);
 
   // The registry snapshots flowed through the router into the lms database

@@ -1,4 +1,4 @@
-// Tests for lms::obs::CpuProfiler and ProfileExporter — deterministic
+// Tests for lms::obs::CpuProfiler and its lms_profiles export — deterministic
 // sample_once()/process_once() paths, trace/task correlation, the timer
 // (SIGPROF) mode, the lms_profiles export format, and the HTTP surfaces
 // (/debug/pprof, /debug/runtime, /flamegraph) across the full harness.
@@ -18,6 +18,7 @@
 #include "lms/cluster/harness.hpp"
 #include "lms/core/runtime.hpp"
 #include "lms/obs/cpuprofiler.hpp"
+#include "lms/obs/exporter.hpp"
 #include "lms/obs/trace.hpp"
 #include "lms/tsdb/storage.hpp"
 #include "lms/util/clock.hpp"
@@ -27,7 +28,7 @@ namespace {
 using namespace lms;
 using cluster::ClusterHarness;
 using obs::CpuProfiler;
-using obs::ProfileExporter;
+using obs::Exporter;
 using obs::ProfileStack;
 
 constexpr util::TimeNs kSec = util::kNanosPerSecond;
@@ -208,7 +209,7 @@ TEST(CpuProfiler, TimerModeCapturesBusyLoop) {
   EXPECT_EQ(prof.stats().samples_captured, after_stop);
 }
 
-// ------------------------------------------------------- ProfileExporter
+// ------------------------------------------------------- lms_profiles export
 
 TEST(ProfileExporter, ExportsTopStacksAsLineProtocol) {
   ProfilerReset reset;
@@ -228,20 +229,15 @@ TEST(ProfileExporter, ExportsTopStacksAsLineProtocol) {
 
   util::SimClock clock(1'500'000'000LL * kSec);
   std::vector<std::string> bodies;
-  ProfileExporter::Options opts;
-  opts.host = "test-host";
-  opts.top_k = 5;
-  opts.clock = &clock;
-  ProfileExporter exporter(
-      [&](const std::string& body) -> util::Status {
-        bodies.push_back(body);
-        return util::Status();
-      },
-      opts);
+  Exporter exporter("obs.profileexport", 0, obs::profile_source(prof, clock, "test-host", 5),
+                    [&](const std::string& body) -> util::Status {
+                      bodies.push_back(body);
+                      return util::Status();
+                    });
 
   ASSERT_TRUE(exporter.export_once().ok());
   EXPECT_EQ(exporter.exports(), 1u);
-  EXPECT_GT(exporter.stacks_exported(), 0u);
+  EXPECT_GT(exporter.points_exported(), 0u);
   ASSERT_EQ(bodies.size(), 1u);
   const std::string& body = bodies[0];
   EXPECT_NE(body.find("lms_profiles"), std::string::npos);
@@ -259,15 +255,15 @@ TEST(ProfileExporter, EmptyAggregateWritesNothing) {
   CpuProfiler& prof = CpuProfiler::instance();
   ASSERT_TRUE(prof.start(manual_options()).ok());
   int writes = 0;
-  ProfileExporter exporter(
-      [&](const std::string&) -> util::Status {
-        ++writes;
-        return util::Status();
-      },
-      ProfileExporter::Options{});
+  Exporter exporter("obs.profileexport", 0,
+                    obs::profile_source(prof, util::WallClock::instance(), "", 20),
+                    [&](const std::string&) -> util::Status {
+                      ++writes;
+                      return util::Status();
+                    });
   EXPECT_TRUE(exporter.export_once().ok());
   EXPECT_EQ(writes, 0);
-  EXPECT_EQ(exporter.stacks_exported(), 0u);
+  EXPECT_EQ(exporter.points_exported(), 0u);
 }
 
 // ------------------------------------------------------- harness wiring

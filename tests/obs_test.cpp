@@ -1,6 +1,6 @@
 // Tests for the lms::obs self-monitoring subsystem: metrics registry,
-// request tracing across transports, and the self-scrape loop that writes
-// the stack's own instruments back into its TSDB.
+// request tracing across transports, and the exporter that writes the
+// stack's own instruments, spans and profiles back into its TSDB.
 
 #include <gtest/gtest.h>
 
@@ -14,11 +14,11 @@
 #include "lms/net/tcp_http.hpp"
 #include "lms/net/transport.hpp"
 #include "lms/core/runtime.hpp"
+#include "lms/obs/cpuprofiler.hpp"
+#include "lms/obs/exporter.hpp"
 #include "lms/obs/metrics.hpp"
 #include "lms/obs/runtime.hpp"
-#include "lms/obs/selfscrape.hpp"
 #include "lms/obs/trace.hpp"
-#include "lms/obs/traceexport.hpp"
 #include "lms/tsdb/http_api.hpp"
 #include "lms/tsdb/storage.hpp"
 #include "lms/util/clock.hpp"
@@ -423,7 +423,7 @@ TEST(Trace, SpanToPointCarriesWholeSpan) {
   span.ok = false;
   span.note = "error=backpressure";
 
-  const lineproto::Point pt = span_to_point(span, kTraceMeasurement, "h7");
+  const lineproto::Point pt = span_to_point(span, "h7");
   EXPECT_EQ(pt.measurement, "lms_traces");
   EXPECT_EQ(pt.tag("trace_id"), "0123456789abcdef");
   EXPECT_EQ(pt.tag("component"), "tsdb");
@@ -468,6 +468,52 @@ struct MiniStack {
     router_opts.registry = &registry;
     router = std::make_unique<core::MetricsRouter>(client, clock, router_opts, nullptr);
     network.bind("router", router->handler());
+  }
+
+  /// Exporter write target: POST to the router's /write?db=lms.
+  Exporter::WriteFn write_to_router() {
+    return [this](const std::string& body) {
+      return net::post_write(client, "inproc://router", "lms", body);
+    };
+  }
+};
+
+/// The three exporter sources, each with something pending to export: a
+/// registry with one counter, a private span recorder holding one finished
+/// span, and the process-wide CpuProfiler started timer-less with one
+/// sample captured (stopped and cleared again on destruction).
+struct ExportSources {
+  struct Named {
+    std::string task;
+    std::string_view measurement;
+    Exporter::Source source;
+  };
+
+  util::SimClock clock{1'500'000'000LL * util::kNanosPerSecond};
+  Registry registry;
+  SpanRecorder recorder{16};
+
+  ExportSources() {
+    registry.counter("ticks").inc();
+    { Span s("pending", "test", &recorder); }
+    CpuProfiler::Options prof_opts;
+    prof_opts.timer = false;
+    EXPECT_TRUE(CpuProfiler::instance().start(prof_opts).ok());
+    CpuProfiler::instance().sample_once();
+  }
+  ~ExportSources() {
+    CpuProfiler::instance().stop();
+    CpuProfiler::instance().clear();
+  }
+
+  std::vector<Named> all() {
+    return {
+        {"obs.selfscrape", kInternalMeasurement,
+         registry_source(registry, clock, {{"hostname", "h1"}})},
+        {"obs.traceexport", kTraceMeasurement, span_source(recorder, "h1")},
+        {"obs.profileexport", kProfileMeasurement,
+         profile_source(CpuProfiler::instance(), clock, "h1", 5)},
+    };
   }
 };
 
@@ -580,19 +626,11 @@ TEST(ObsIntegration, SelfScrapeLandsInOwnTsdbQueryable) {
     ASSERT_TRUE(resp.ok() && resp->status == 204);
   }
 
-  SelfScrape::Options ss_opts;
-  ss_opts.tags = {{"hostname", "stack"}};
-  SelfScrape scrape(
-      stack.registry, stack.clock,
-      [&](const std::string& body) -> util::Status {
-        auto resp = stack.client.post("inproc://router/write?db=lms", body, "text/plain");
-        if (!resp.ok()) return util::Status::error(resp.message());
-        if (!resp->ok()) return util::Status::error("HTTP " + std::to_string(resp->status));
-        return util::Status();
-      },
-      ss_opts);
-  ASSERT_TRUE(scrape.scrape_once().ok());
-  EXPECT_EQ(scrape.scrapes(), 1u);
+  Exporter scrape("obs.selfscrape", 0,
+                  registry_source(stack.registry, stack.clock, {{"hostname", "stack"}}),
+                  stack.write_to_router());
+  ASSERT_TRUE(scrape.export_once().ok());
+  EXPECT_EQ(scrape.exports(), 1u);
   EXPECT_EQ(scrape.failures(), 0u);
 
   // The registry snapshot is now a regular measurement in the stack's own
@@ -620,16 +658,12 @@ TEST(ObsIntegration, SelfScrapeAttachedToSchedulerWritesPeriodically) {
   reg.counter("ticks").inc();
   util::WallClock clock;
   std::atomic<int> writes{0};
-  SelfScrape::Options ss_opts;
-  ss_opts.interval = 5 * util::kNanosPerMilli;
-  SelfScrape scrape(
-      reg, clock,
-      [&](const std::string& body) -> util::Status {
-        EXPECT_NE(body.find("ticks"), std::string::npos);
-        ++writes;
-        return util::Status();
-      },
-      ss_opts);
+  Exporter scrape("obs.selfscrape", 5 * util::kNanosPerMilli, registry_source(reg, clock, {}),
+                  [&](const std::string& body) -> util::Status {
+                    EXPECT_NE(body.find("ticks"), std::string::npos);
+                    ++writes;
+                    return util::Status();
+                  });
   core::TaskScheduler::Options sched_opts;
   sched_opts.workers = 1;
   sched_opts.name = "test.obs.sched";
@@ -643,6 +677,23 @@ TEST(ObsIntegration, SelfScrapeAttachedToSchedulerWritesPeriodically) {
   scrape.detach();
   EXPECT_FALSE(scrape.attached());
   EXPECT_GE(writes.load(), 2);
+
+  // detach() exports once more. With an interval no periodic run reaches,
+  // that final export is the only write, for every source.
+  ExportSources sources;
+  for (ExportSources::Named& named : sources.all()) {
+    std::vector<std::string> bodies;
+    Exporter exporter(named.task, util::kNanosPerHour, std::move(named.source),
+                      [&](const std::string& body) -> util::Status {
+                        bodies.push_back(body);
+                        return util::Status();
+                      });
+    exporter.attach(sched);
+    exporter.detach();
+    ASSERT_EQ(bodies.size(), 1u) << named.task;
+    EXPECT_EQ(bodies[0].rfind(named.measurement, 0), 0u) << named.task;
+    EXPECT_GT(exporter.points_exported(), 0u) << named.task;
+  }
 }
 
 TEST(ObsIntegration, TcpTracePropagationAndClientMetrics) {
@@ -703,21 +754,12 @@ TEST(ObsIntegration, TraceExporterLandsSpansInTsdbAndTraceEndpointAssembles) {
   }
   ASSERT_EQ(recorder.size(), 2u);
 
-  TraceExporter::Options opts;
-  opts.host = "h1";
-  opts.recorder = &recorder;
-  TraceExporter exporter(
-      [&](const std::string& body) -> util::Status {
-        auto resp = stack.client.post("inproc://router/write?db=lms", body, "text/plain");
-        if (!resp.ok()) return util::Status::error(resp.message());
-        if (!resp->ok()) return util::Status::error("HTTP " + std::to_string(resp->status));
-        return util::Status();
-      },
-      opts);
+  Exporter exporter("obs.traceexport", 0, span_source(recorder, "h1"),
+                    stack.write_to_router());
   ASSERT_TRUE(exporter.export_once().ok());
   EXPECT_EQ(exporter.exports(), 1u);
-  EXPECT_EQ(exporter.spans_exported(), 2u);
-  EXPECT_EQ(exporter.spans_dropped(), 0u);
+  EXPECT_EQ(exporter.points_exported(), 2u);
+  EXPECT_EQ(exporter.points_dropped(), 0u);
   EXPECT_EQ(recorder.size(), 0u);  // drained, not evicted
   // The export write itself ran under a TraceSuppressGuard: no spans about
   // exporting spans showed up in the recorder afterwards.
@@ -748,23 +790,46 @@ TEST(ObsIntegration, TraceExporterLandsSpansInTsdbAndTraceEndpointAssembles) {
 
   // Exporting with nothing pending is OK and writes nothing.
   ASSERT_TRUE(exporter.export_once().ok());
-  EXPECT_EQ(exporter.spans_exported(), 2u);
+  EXPECT_EQ(exporter.points_exported(), 2u);
 }
 
 TEST(ObsIntegration, TraceExporterCountsFailedWritesAndDropsSpans) {
-  SpanRecorder recorder(16);
-  {
-    Span s("doomed", "test", &recorder);
+  ExportSources sources;
+  for (ExportSources::Named& named : sources.all()) {
+    std::size_t produced = 0;
+    Exporter exporter(
+        named.task, 0,
+        [&produced, source = std::move(named.source)] {
+          std::vector<lineproto::Point> points = source();
+          produced = points.size();
+          return points;
+        },
+        [](const std::string&) { return util::Status::error("stack unreachable"); });
+    EXPECT_FALSE(exporter.export_once().ok()) << named.task;
+    EXPECT_GT(produced, 0u) << named.task;
+    EXPECT_EQ(exporter.failures(), 1u) << named.task;
+    EXPECT_EQ(exporter.points_dropped(), produced) << named.task;
+    EXPECT_EQ(exporter.points_exported(), 0u) << named.task;
   }
-  TraceExporter::Options opts;
-  opts.recorder = &recorder;
-  TraceExporter exporter(
-      [](const std::string&) { return util::Status::error("stack unreachable"); }, opts);
-  EXPECT_FALSE(exporter.export_once().ok());
-  EXPECT_EQ(exporter.failures(), 1u);
-  EXPECT_EQ(exporter.spans_exported(), 0u);
-  EXPECT_EQ(exporter.spans_dropped(), 1u);
-  EXPECT_EQ(recorder.size(), 0u);  // not re-queued: the ring would re-evict
+  EXPECT_EQ(sources.recorder.size(), 0u);  // not re-queued: the ring would re-evict
+}
+
+// Exports travel through the router like any batch, but under a
+// TraceSuppressGuard: no source may write spans about exporting telemetry
+// into the process-wide recorder (which would feed back into lms_traces).
+TEST(ObsIntegration, ExportsThroughRouterRecordNoSpans) {
+  const double prev = trace_sample_rate();
+  set_trace_sample_rate(1.0);
+  MiniStack stack;
+  ExportSources sources;
+  const std::uint64_t before = SpanRecorder::global().recorded();
+  for (ExportSources::Named& named : sources.all()) {
+    Exporter exporter(named.task, 0, std::move(named.source), stack.write_to_router());
+    EXPECT_TRUE(exporter.export_once().ok()) << named.task;
+    EXPECT_GT(exporter.points_exported(), 0u) << named.task;
+    EXPECT_EQ(SpanRecorder::global().recorded(), before) << named.task;
+  }
+  set_trace_sample_rate(prev);
 }
 
 TEST(ObsIntegration, HistogramExemplarLinksSlowObservationToTrace) {
@@ -840,15 +905,11 @@ TEST(TracingStress, ConcurrentProducersExporterAndSamplingFlips) {
   }
 
   std::atomic<std::uint64_t> exported_bytes{0};
-  TraceExporter::Options opts;
-  opts.recorder = &recorder;
-  opts.max_spans_per_export = 128;
-  TraceExporter exporter(
-      [&exported_bytes](const std::string& body) {
-        exported_bytes.fetch_add(body.size());
-        return util::Status();
-      },
-      opts);
+  Exporter exporter("obs.traceexport", 0, span_source(recorder, ""),
+                    [&exported_bytes](const std::string& body) {
+                      exported_bytes.fetch_add(body.size());
+                      return util::Status();
+                    });
   std::thread drainer([&] {
     while (!stop.load()) {
       (void)exporter.export_once();
@@ -872,8 +933,8 @@ TEST(TracingStress, ConcurrentProducersExporterAndSamplingFlips) {
   // recorded span was exported, evicted, or still sits in the ring.
   EXPECT_LE(recorder.recorded(), produced.load());
   EXPECT_EQ(recorder.recorded(),
-            exporter.spans_exported() + recorder.evicted() + recorder.size());
-  EXPECT_GT(exporter.spans_exported(), 0u);
+            exporter.points_exported() + recorder.evicted() + recorder.size());
+  EXPECT_GT(exporter.points_exported(), 0u);
   EXPECT_GT(exported_bytes.load(), 0u);
   set_trace_sample_rate(prev);
 }

@@ -11,7 +11,7 @@
 #include "lms/lineproto/codec.hpp"
 #include "lms/net/transport.hpp"
 #include "lms/obs/trace.hpp"
-#include "lms/obs/traceexport.hpp"
+#include "lms/obs/exporter.hpp"
 #include "lms/tsdb/http_api.hpp"
 #include "lms/tsdb/ingest.hpp"
 #include "lms/tsdb/query.hpp"
@@ -939,7 +939,7 @@ TEST(HttpApiTest, DebugLogsServedWhenRingWired) {
 
 // ------------------------------------------------------------ trace assembly
 
-/// Store one exported span (as the TraceExporter would write it) directly.
+/// Store one exported span (as the span exporter would write it) directly.
 void store_span(Storage& storage, std::uint64_t trace_id, std::uint64_t span_id,
                 std::uint64_t parent, const char* name, TimeNs start, std::int64_t duration,
                 bool ok = true, const char* note = "", const char* component = "test",
@@ -954,7 +954,7 @@ void store_span(Storage& storage, std::uint64_t trace_id, std::uint64_t span_id,
   rec.duration_ns = duration;
   rec.ok = ok;
   rec.note = note;
-  storage.write("lms", {obs::span_to_point(rec, obs::kTraceMeasurement, host)}, 0);
+  storage.write("lms", {obs::span_to_point(rec, host)}, 0);
 }
 
 TEST(TraceAssembly, BuildsOrderedTreeWithGapAnalysis) {
