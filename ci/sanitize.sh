@@ -14,7 +14,8 @@
 # (the sampling CPU profiler: SIGPROF handler vs. the per-thread SPSC rings
 # vs. the fold task, plus the timer-mode busy-loop capture — TSan/ASan are
 # the strongest checks that the signal-context ring writes are race- and
-# overflow-free).
+# overflow-free), analysis (a job evaluation's JobFrame holds one snapshot
+# over every stripe while two threads write into the same database).
 #
 # The thread mode additionally forces -DLMS_RANK_CHECKS=ON and
 # -DLMS_LOCK_STATS=ON so the lock-rank deadlock detector and the contention
@@ -32,7 +33,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 SUITES=(obs_test net_test alert_test tsdb_test router_test profiling_test
-        core_sched_test core_sync_lockstats_test cpuprofile_test)
+        core_sched_test core_sync_lockstats_test cpuprofile_test analysis_test)
 MODE="${1:-all}"
 
 run_mode() {

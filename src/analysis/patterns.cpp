@@ -142,13 +142,34 @@ const DecisionTree& DecisionTree::default_tree() {
   return *tree;
 }
 
+namespace {
+const MetricRef kCpuLoad{"cpu", "user_percent"};
+const MetricRef kCpi{"likwid_mem_dp", "cpi"};
+const MetricRef kFlops{"likwid_mem_dp", "dp_mflop_per_s"};
+const MetricRef kMemBw{"likwid_mem_dp", "memory_bandwidth_mbytes_per_s"};
+const MetricRef kVectorization{"likwid_flops_dp", "vectorization_ratio"};
+const MetricRef kBranchMiss{"likwid_branch", "branch_misprediction_ratio"};
+const MetricRef kMemUsed{"memory", "used_percent"};
+}  // namespace
+
+const std::vector<MetricRef>& signature_metrics() {
+  static const std::vector<MetricRef> refs{kCpuLoad,       kCpi,        kFlops,  kMemBw,
+                                           kVectorization, kBranchMiss, kMemUsed};
+  return refs;
+}
+
 JobSignature signature_from_db(const MetricFetcher& fetcher,
                                const std::vector<std::string>& hosts,
                                const std::string& job_id, util::TimeNs t0, util::TimeNs t1,
                                const hpm::CounterArchitecture& arch) {
+  return signature_from_frame(JobFrame(fetcher, hosts, job_id, t0, t1, signature_metrics()),
+                              arch);
+}
+
+JobSignature signature_from_frame(const JobFrame& frame, const hpm::CounterArchitecture& arch) {
   JobSignature sig;
-  sig.nodes = static_cast<int>(hosts.size());
-  if (hosts.empty()) return sig;
+  sig.nodes = static_cast<int>(frame.keys().size());
+  if (frame.keys().empty()) return sig;
 
   const double peak_flops =
       arch.peak_dp_flops_per_core * arch.total_cores();  // per node, flops/s
@@ -157,46 +178,35 @@ JobSignature signature_from_db(const MetricFetcher& fetcher,
   std::vector<double> per_node_flops;
   double sum_cpu = 0, sum_ipc = 0, sum_membw = 0, sum_vec = 0, sum_bmiss = 0, sum_mem = 0;
   int n_cpu = 0, n_ipc = 0, n_membw = 0, n_vec = 0, n_bmiss = 0, n_mem = 0;
-  for (const auto& host : hosts) {
-    auto cpu = fetcher.fetch_host({"cpu", "user_percent"}, host, job_id, t0, t1);
-    if (cpu.ok() && !cpu->empty()) {
-      sum_cpu += cpu->mean() / 100.0;
+  for (const auto& host : frame.keys()) {
+    if (const MetricSeries& cpu = frame.series(kCpuLoad, host); !cpu.empty()) {
+      sum_cpu += cpu.mean() / 100.0;
       ++n_cpu;
     }
-    auto ipc = fetcher.fetch_host({"likwid_mem_dp", "cpi"}, host, job_id, t0, t1);
-    if (ipc.ok() && !ipc->empty()) {
-      const double cpi = ipc->mean();
+    if (const MetricSeries& ipc = frame.series(kCpi, host); !ipc.empty()) {
+      const double cpi = ipc.mean();
       if (cpi > 0) {
         sum_ipc += 1.0 / cpi;
         ++n_ipc;
       }
     }
-    auto flops = fetcher.fetch_host({"likwid_mem_dp", "dp_mflop_per_s"}, host, job_id, t0, t1);
-    if (flops.ok() && !flops->empty()) {
-      per_node_flops.push_back(flops->mean() * 1e6);
+    if (const MetricSeries& flops = frame.series(kFlops, host); !flops.empty()) {
+      per_node_flops.push_back(flops.mean() * 1e6);
     }
-    auto membw =
-        fetcher.fetch_host({"likwid_mem_dp", "memory_bandwidth_mbytes_per_s"}, host, job_id,
-                           t0, t1);
-    if (membw.ok() && !membw->empty()) {
-      sum_membw += membw->mean() * 1e6;
+    if (const MetricSeries& membw = frame.series(kMemBw, host); !membw.empty()) {
+      sum_membw += membw.mean() * 1e6;
       ++n_membw;
     }
-    auto vec =
-        fetcher.fetch_host({"likwid_flops_dp", "vectorization_ratio"}, host, job_id, t0, t1);
-    if (vec.ok() && !vec->empty()) {
-      sum_vec += vec->mean() / 100.0;
+    if (const MetricSeries& vec = frame.series(kVectorization, host); !vec.empty()) {
+      sum_vec += vec.mean() / 100.0;
       ++n_vec;
     }
-    auto bmiss = fetcher.fetch_host({"likwid_branch", "branch_misprediction_ratio"}, host,
-                                    job_id, t0, t1);
-    if (bmiss.ok() && !bmiss->empty()) {
-      sum_bmiss += bmiss->mean();
+    if (const MetricSeries& bmiss = frame.series(kBranchMiss, host); !bmiss.empty()) {
+      sum_bmiss += bmiss.mean();
       ++n_bmiss;
     }
-    auto mem = fetcher.fetch_host({"memory", "used_percent"}, host, job_id, t0, t1);
-    if (mem.ok() && !mem->empty()) {
-      sum_mem += mem->mean() / 100.0;
+    if (const MetricSeries& mem = frame.series(kMemUsed, host); !mem.empty()) {
+      sum_mem += mem.mean() / 100.0;
       ++n_mem;
     }
   }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "lms/obs/trace.hpp"
 #include "lms/util/strings.hpp"
 
 namespace lms::analysis {
@@ -93,6 +94,17 @@ void JobReporter::set_rules(std::vector<Rule> rules) {
 JobEvaluation JobReporter::evaluate(const std::string& job_id,
                                     const std::vector<std::string>& hosts, util::TimeNs t0,
                                     util::TimeNs t1) const {
+  obs::Span span("analysis.evaluate", "analysis");
+  std::vector<MetricRef> refs = rule_engine_.metrics();
+  for (const auto& check : checks_) refs.push_back(check.metric);
+  refs.insert(refs.end(), signature_metrics().begin(), signature_metrics().end());
+  refs.insert(refs.end(), roofline_metrics().begin(), roofline_metrics().end());
+  const JobFrame frame(fetcher_, hosts, job_id, t0, t1, refs);
+  if (span.active()) {
+    span.set_note("series=" + std::to_string(frame.series_count()) +
+                  " samples=" + std::to_string(frame.sample_count()));
+  }
+
   JobEvaluation eval;
   eval.job_id = job_id;
   eval.hosts = hosts;
@@ -103,9 +115,8 @@ JobEvaluation JobReporter::evaluate(const std::string& job_id,
     row.check = check;
     for (const auto& host : hosts) {
       ReportCell cell;
-      auto series = fetcher_.fetch_host(check.metric, host, job_id, t0, t1);
-      if (series.ok() && !series->empty()) {
-        cell.value = display_value(check, series->mean());
+      if (const MetricSeries& series = frame.series(check.metric, host); !series.empty()) {
+        cell.value = display_value(check, series.mean());
         cell.verdict = judge(check, cell.value);
       }
       row.overall = worst(row.overall, cell.verdict);
@@ -113,11 +124,9 @@ JobEvaluation JobReporter::evaluate(const std::string& job_id,
     }
     eval.rows.push_back(std::move(row));
   }
-  eval.findings = rule_engine_.evaluate_job(hosts, job_id, t0, t1);
-  const JobSignature sig = signature_from_db(fetcher_, hosts, job_id, t0, t1, arch_);
-  eval.classification = DecisionTree::default_tree().classify(sig);
-  if (auto roofline = roofline_from_db(fetcher_, hosts, job_id, t0, t1, arch_);
-      roofline.ok()) {
+  eval.findings = rule_engine_.evaluate_job(frame);
+  eval.classification = DecisionTree::default_tree().classify(signature_from_frame(frame, arch_));
+  if (auto roofline = roofline_from_frame(frame, arch_); roofline.ok()) {
     eval.roofline = roofline.take();
   }
   return eval;

@@ -37,61 +37,79 @@ RooflineResult roofline_evaluate(double measured_flops_per_sec, double measured_
   return r;
 }
 
+namespace {
+const MetricRef kFlops{"likwid_mem_dp", "dp_mflop_per_s"};
+const MetricRef kBandwidth{"likwid_mem_dp", "memory_bandwidth_mbytes_per_s"};
+const MetricRef kRegionFlops{"lms_regions", "dp_mflop_per_s"};
+const MetricRef kRegionBandwidth{"lms_regions", "memory_bandwidth_mbytes_per_s"};
+const MetricRef kRegionInclusive{"lms_regions", "inclusive_ns"};
+const MetricRef kRegionCalls{"lms_regions", "count"};
+}  // namespace
+
+const std::vector<MetricRef>& roofline_metrics() {
+  static const std::vector<MetricRef> refs{kFlops, kBandwidth};
+  return refs;
+}
+
+util::Result<RooflineResult> roofline_from_frame(const JobFrame& frame,
+                                                 const hpm::CounterArchitecture& arch) {
+  double sum_flops = 0;
+  double sum_bw = 0;
+  int n = 0;
+  for (const auto& host : frame.keys()) {
+    const MetricSeries& flops = frame.series(kFlops, host);
+    const MetricSeries& bw = frame.series(kBandwidth, host);
+    if (flops.empty() || bw.empty()) continue;
+    sum_flops += flops.mean() * 1e6;
+    sum_bw += bw.mean() * 1e6;
+    ++n;
+  }
+  if (n == 0) {
+    return util::Result<RooflineResult>::error(
+        "no MEM_DP data for job '" + frame.job_id() + "' in the given range");
+  }
+  return roofline_evaluate(sum_flops / n, sum_bw / n, arch);
+}
+
 util::Result<RooflineResult> roofline_from_db(const MetricFetcher& fetcher,
                                               const std::vector<std::string>& hosts,
                                               const std::string& job_id, util::TimeNs t0,
                                               util::TimeNs t1,
                                               const hpm::CounterArchitecture& arch) {
-  double sum_flops = 0;
-  double sum_bw = 0;
-  int n = 0;
-  for (const auto& host : hosts) {
-    auto flops =
-        fetcher.fetch_host({"likwid_mem_dp", "dp_mflop_per_s"}, host, job_id, t0, t1);
-    auto bw = fetcher.fetch_host({"likwid_mem_dp", "memory_bandwidth_mbytes_per_s"}, host,
-                                 job_id, t0, t1);
-    if (!flops.ok() || flops->empty() || !bw.ok() || bw->empty()) continue;
-    sum_flops += flops->mean() * 1e6;
-    sum_bw += bw->mean() * 1e6;
-    ++n;
-  }
-  if (n == 0) {
-    return util::Result<RooflineResult>::error(
-        "no MEM_DP data for job '" + job_id + "' in the given range");
-  }
-  return roofline_evaluate(sum_flops / n, sum_bw / n, arch);
+  return roofline_from_frame(JobFrame(fetcher, hosts, job_id, t0, t1, roofline_metrics()),
+                             arch);
 }
 
 util::Result<std::vector<RegionRoofline>> roofline_per_region(
     const MetricFetcher& fetcher, const std::string& job_id, util::TimeNs t0, util::TimeNs t1,
     const hpm::CounterArchitecture& arch) {
-  const std::vector<std::string> regions =
-      fetcher.tag_values("lms_regions", "region", {{"jobid", job_id}});
-  if (regions.empty()) {
+  const JobFrame frame(fetcher, job_id, t0, t1,
+                       {kRegionFlops, kRegionBandwidth, kRegionInclusive, kRegionCalls},
+                       "region");
+  if (frame.keys().empty()) {
     return util::Result<std::vector<RegionRoofline>>::error(
         "no lms_regions data for job '" + job_id + "' (profiling off or not flushed)");
   }
   std::vector<RegionRoofline> out;
   double total_time = 0.0;
-  for (const auto& region : regions) {
-    const std::vector<lineproto::Tag> filters{{"jobid", job_id}, {"region", region}};
-    auto flops = fetcher.fetch({"lms_regions", "dp_mflop_per_s"}, filters, t0, t1);
-    auto bw = fetcher.fetch({"lms_regions", "memory_bandwidth_mbytes_per_s"}, filters, t0, t1);
-    auto incl = fetcher.fetch({"lms_regions", "inclusive_ns"}, filters, t0, t1);
-    auto calls = fetcher.fetch({"lms_regions", "count"}, filters, t0, t1);
-    if (!flops.ok() || flops->empty() || !bw.ok() || bw->empty()) continue;
+  for (const auto& region : frame.keys()) {
+    const MetricSeries& flops = frame.series(kRegionFlops, region);
+    const MetricSeries& bw = frame.series(kRegionBandwidth, region);
+    const MetricSeries& incl = frame.series(kRegionInclusive, region);
+    const MetricSeries& calls = frame.series(kRegionCalls, region);
+    if (flops.empty() || bw.empty()) continue;
     RegionRoofline rr;
     rr.region = region;
     // Each lms_regions point carries the region's rates on one host over one
     // flush interval; the mean is the per-node average, like roofline_from_db.
-    rr.roofline = roofline_evaluate(flops->mean() * 1e6, bw->mean() * 1e6, arch);
-    if (incl.ok() && !incl->empty()) {
-      rr.time_share = incl->mean() * static_cast<double>(incl->size());  // sum, for now
+    rr.roofline = roofline_evaluate(flops.mean() * 1e6, bw.mean() * 1e6, arch);
+    if (!incl.empty()) {
+      rr.time_share = incl.mean() * static_cast<double>(incl.size());  // sum, for now
       total_time += rr.time_share;
     }
-    if (calls.ok() && !calls->empty()) {
+    if (!calls.empty()) {
       rr.calls = static_cast<std::uint64_t>(
-          calls->mean() * static_cast<double>(calls->size()) + 0.5);
+          calls.mean() * static_cast<double>(calls.size()) + 0.5);
     }
     out.push_back(std::move(rr));
   }

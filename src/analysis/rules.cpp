@@ -209,16 +209,15 @@ std::vector<Interval> intersect(const std::vector<Interval>& x,
 /// intersected (all conditions must hold simultaneously); intersections at
 /// least min_duration long become findings — the threshold+timeout semantics
 /// of the paper's Fig. 4.
-std::vector<Finding> evaluate_rule(const MetricFetcher& fetcher, const Rule& rule,
-                                   const std::string& hostname, const std::string& job_id,
-                                   util::TimeNs t0, util::TimeNs t1) {
+std::vector<Finding> evaluate_rule(const JobFrame& frame, const Rule& rule,
+                                   const std::string& hostname) {
   const util::TimeNs max_gap = 3 * rule.resolution;
   std::vector<Interval> combined;
   bool first = true;
   for (const auto& cond : rule.conditions) {
-    auto series = fetcher.fetch_host(cond.metric, hostname, job_id, t0, t1);
-    if (!series.ok() || series->empty()) return {};
-    auto intervals = violation_intervals(*series, cond, max_gap);
+    const MetricSeries& series = frame.series(cond.metric, hostname);
+    if (series.empty()) return {};
+    auto intervals = violation_intervals(series, cond, max_gap);
     if (intervals.empty()) return {};
     combined = first ? std::move(intervals) : intersect(combined, intervals);
     first = false;
@@ -231,7 +230,7 @@ std::vector<Finding> evaluate_rule(const MetricFetcher& fetcher, const Rule& rul
     f.rule = rule.name;
     f.description = rule.description;
     f.hostname = hostname;
-    f.job_id = job_id;
+    f.job_id = frame.job_id();
     f.severity = rule.severity;
     f.start = iv.a;
     f.end = iv.b;
@@ -242,24 +241,29 @@ std::vector<Finding> evaluate_rule(const MetricFetcher& fetcher, const Rule& rul
 
 }  // namespace
 
-std::vector<Finding> RuleEngine::evaluate_host(const std::string& hostname,
-                                               const std::string& job_id, util::TimeNs t0,
-                                               util::TimeNs t1) const {
+std::vector<MetricRef> RuleEngine::metrics() const {
+  std::vector<MetricRef> refs;
+  for (const auto& rule : rules_) {
+    for (const auto& cond : rule.conditions) refs.push_back(cond.metric);
+  }
+  return refs;
+}
+
+std::vector<Finding> RuleEngine::evaluate_host(const JobFrame& frame,
+                                               const std::string& hostname) const {
   std::vector<Finding> findings;
   for (const auto& rule : rules_) {
-    auto fs = evaluate_rule(fetcher_, rule, hostname, job_id, t0, t1);
+    auto fs = evaluate_rule(frame, rule, hostname);
     findings.insert(findings.end(), std::make_move_iterator(fs.begin()),
                     std::make_move_iterator(fs.end()));
   }
   return findings;
 }
 
-std::vector<Finding> RuleEngine::evaluate_job(const std::vector<std::string>& hosts,
-                                              const std::string& job_id, util::TimeNs t0,
-                                              util::TimeNs t1) const {
+std::vector<Finding> RuleEngine::evaluate_job(const JobFrame& frame) const {
   std::vector<Finding> findings;
-  for (const auto& host : hosts) {
-    auto fs = evaluate_host(host, job_id, t0, t1);
+  for (const auto& host : frame.keys()) {
+    auto fs = evaluate_host(frame, host);
     findings.insert(findings.end(), std::make_move_iterator(fs.begin()),
                     std::make_move_iterator(fs.end()));
   }
@@ -268,6 +272,18 @@ std::vector<Finding> RuleEngine::evaluate_job(const std::vector<std::string>& ho
     return a.hostname < b.hostname;
   });
   return findings;
+}
+
+std::vector<Finding> RuleEngine::evaluate_host(const std::string& hostname,
+                                               const std::string& job_id, util::TimeNs t0,
+                                               util::TimeNs t1) const {
+  return evaluate_host(JobFrame(fetcher_, {hostname}, job_id, t0, t1, metrics()), hostname);
+}
+
+std::vector<Finding> RuleEngine::evaluate_job(const std::vector<std::string>& hosts,
+                                              const std::string& job_id, util::TimeNs t0,
+                                              util::TimeNs t1) const {
+  return evaluate_job(JobFrame(fetcher_, hosts, job_id, t0, t1, metrics()));
 }
 
 }  // namespace lms::analysis

@@ -92,7 +92,14 @@ class DecisionTree {
   std::unique_ptr<DecisionTree> high_;
 };
 
-/// Build a job signature from stored metrics (node-averaged over [t0, t1)).
+/// The metrics a job signature is built from (what a JobFrame must hold).
+const std::vector<MetricRef>& signature_metrics();
+
+/// Build a job signature from a frame's series (node-averaged over the
+/// frame's hosts and time range).
+JobSignature signature_from_frame(const JobFrame& frame, const hpm::CounterArchitecture& arch);
+
+/// Wrapper that reads a frame of the signature metrics first.
 JobSignature signature_from_db(const MetricFetcher& fetcher,
                                const std::vector<std::string>& hosts,
                                const std::string& job_id, util::TimeNs t0, util::TimeNs t1,

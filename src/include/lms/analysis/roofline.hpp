@@ -38,7 +38,15 @@ struct RooflineResult {
 RooflineResult roofline_evaluate(double measured_flops_per_sec, double measured_bytes_per_sec,
                                  const hpm::CounterArchitecture& arch);
 
-/// Evaluate from stored job metrics (node-averaged over [t0, t1)).
+/// The MEM_DP metrics a roofline placement reads (what a JobFrame must hold).
+const std::vector<MetricRef>& roofline_metrics();
+
+/// Evaluate from a frame's series (node-averaged over the frame's hosts and
+/// time range). Fails when no host has both rates.
+util::Result<RooflineResult> roofline_from_frame(const JobFrame& frame,
+                                                 const hpm::CounterArchitecture& arch);
+
+/// Wrapper that reads a frame of the roofline metrics first.
 util::Result<RooflineResult> roofline_from_db(const MetricFetcher& fetcher,
                                               const std::vector<std::string>& hosts,
                                               const std::string& job_id, util::TimeNs t0,

@@ -84,16 +84,24 @@ class RuleEngine {
   void clear_rules() { rules_.clear(); }
   const std::vector<Rule>& rules() const { return rules_; }
 
-  /// Evaluate all rules for one host of one job over [t0, t1).
+  /// The metrics the rules' conditions read (what a JobFrame must hold).
+  std::vector<MetricRef> metrics() const;
+
+  /// Evaluate all rules for every host of a frame; findings sorted by start,
+  /// then host.
+  std::vector<Finding> evaluate_job(const JobFrame& frame) const;
+
+  /// Wrappers that read a frame first: one host, or every host of a job,
+  /// over [t0, t1).
   std::vector<Finding> evaluate_host(const std::string& hostname, const std::string& job_id,
                                      util::TimeNs t0, util::TimeNs t1) const;
-
-  /// Evaluate all rules for every host of a job.
   std::vector<Finding> evaluate_job(const std::vector<std::string>& hosts,
                                     const std::string& job_id, util::TimeNs t0,
                                     util::TimeNs t1) const;
 
  private:
+  std::vector<Finding> evaluate_host(const JobFrame& frame, const std::string& hostname) const;
+
   const MetricFetcher& fetcher_;
   std::vector<Rule> rules_;
 };

@@ -115,6 +115,21 @@ struct QueryStats {
   std::uint64_t shards_touched = 0;        ///< distinct storage stripes hit
 };
 
+/// The read behind every select: the samples of `field` in [tmin, tmax)
+/// across `group`, taken in series order and std::sort-ed by time (equal
+/// timestamps keep no defined order, but the same input always sorts the
+/// same way). `points_examined`, when non-null, counts the samples in range,
+/// also in count-only mode, where nothing is materialized (the EXPLAIN path).
+std::vector<Sample> gather(const std::vector<const Series*>& group, const std::string& field,
+                           std::optional<TimeNs> tmin, std::optional<TimeNs> tmax,
+                           std::uint64_t* points_examined = nullptr, bool materialize = true);
+
+/// Raw-select semantics over gather()'s output: one sample per timestamp,
+/// the last one after the sort. A host with several series of one
+/// measurement (per-core cpu, per-socket HPM fields) or a column with
+/// duplicate timestamps therefore yields one value per timestamp.
+void keep_last_per_time(std::vector<Sample>& samples);
+
 /// Marker value used in result rows for missing cells under fill(null);
 /// encoded as JSON null by to_influx_json().
 const FieldValue& null_cell();

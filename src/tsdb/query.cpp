@@ -545,26 +545,10 @@ const FieldValue& null_cell() {
 
 bool is_null_cell(const FieldValue& v) { return v.is_string() && v.as_string() == kNullMarker; }
 
-namespace {
-
-struct SamplesView {
-  std::vector<Sample> samples;  // merged, sorted by time
-};
-
-/// Accumulates scan statistics across the (possibly glob-expanded) selects
-/// of one statement; the shard set dedups stripes across measurements.
-struct StatsCollector {
-  QueryStats stats;
-  std::set<std::size_t> shards;
-};
-
-/// Merge samples of `field` from all series in `group` within [tmin, tmax).
-/// `points_examined` counts the gathered samples (also in count-only mode,
-/// where nothing is materialized — the EXPLAIN path).
-SamplesView gather(const std::vector<const Series*>& group, const std::string& field,
-                   std::optional<TimeNs> tmin, std::optional<TimeNs> tmax,
-                   std::uint64_t* points_examined, bool materialize = true) {
-  SamplesView out;
+std::vector<Sample> gather(const std::vector<const Series*>& group, const std::string& field,
+                           std::optional<TimeNs> tmin, std::optional<TimeNs> tmax,
+                           std::uint64_t* points_examined, bool materialize) {
+  std::vector<Sample> out;
   for (const Series* s : group) {
     const auto cit = s->columns.find(field);
     if (cit == s->columns.end()) continue;
@@ -574,13 +558,34 @@ SamplesView gather(const std::vector<const Series*>& group, const std::string& f
     if (points_examined != nullptr) *points_examined += end - begin;
     if (!materialize) continue;
     for (std::size_t i = begin; i < end; ++i) {
-      out.samples.push_back(Sample{col.times()[i], col.values()[i]});
+      out.push_back(Sample{col.times()[i], col.values()[i]});
     }
   }
-  std::sort(out.samples.begin(), out.samples.end(),
-            [](const Sample& a, const Sample& b) { return a.t < b.t; });
+  std::sort(out.begin(), out.end(), [](const Sample& a, const Sample& b) { return a.t < b.t; });
   return out;
 }
+
+void keep_last_per_time(std::vector<Sample>& samples) {
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    if (kept > 0 && samples[kept - 1].t == samples[i].t) {
+      samples[kept - 1] = std::move(samples[i]);
+    } else {
+      if (kept != i) samples[kept] = std::move(samples[i]);
+      ++kept;
+    }
+  }
+  samples.resize(kept);
+}
+
+namespace {
+
+/// Accumulates scan statistics across the (possibly glob-expanded) selects
+/// of one statement; the shard set dedups stripes across measurements.
+struct StatsCollector {
+  QueryStats stats;
+  std::set<std::size_t> shards;
+};
 
 std::vector<double> numeric_values(const std::vector<Sample>& samples) {
   std::vector<double> out;
@@ -655,10 +660,9 @@ std::optional<FieldValue> apply_aggregator(Aggregator agg, double param,
 /// Series of (time, value) per selected expression, post-aggregation.
 using ColumnSeries = std::map<TimeNs, FieldValue>;
 
-ColumnSeries evaluate_expr(const FieldExpr& fe, const SamplesView& view,
+ColumnSeries evaluate_expr(const FieldExpr& fe, std::vector<Sample> samples,
                            const SelectStatement& sel) {
   ColumnSeries out;
-  const auto& samples = view.samples;
   if (fe.agg == Aggregator::kDerivative || fe.agg == Aggregator::kRate) {
     // First reduce to one value per point (window-mean when grouped).
     std::vector<Sample> base;
@@ -690,7 +694,8 @@ ColumnSeries evaluate_expr(const FieldExpr& fe, const SamplesView& view,
     return out;
   }
   if (fe.agg == Aggregator::kNone) {
-    for (const auto& s : samples) out[s.t] = s.v;
+    keep_last_per_time(samples);
+    for (auto& s : samples) out.emplace_hint(out.end(), s.t, std::move(s.v));
     return out;
   }
   if (sel.group_by_time) {
@@ -828,10 +833,10 @@ util::Result<QueryResult> execute_select(const Database& db, const SelectStateme
     std::vector<ColumnSeries> columns;
     columns.reserve(sel.fields.size());
     for (const auto& fe : sel.fields) {
-      const SamplesView view = gather(group_series, fe.field, sel.time_min, sel.time_max,
-                                      points_counter, /*materialize=*/!explain_only);
+      std::vector<Sample> samples = gather(group_series, fe.field, sel.time_min, sel.time_max,
+                                           points_counter, /*materialize=*/!explain_only);
       if (explain_only) continue;
-      columns.push_back(evaluate_expr(fe, view, sel));
+      columns.push_back(evaluate_expr(fe, std::move(samples), sel));
     }
     if (explain_only) continue;
     ResultSeries rs = build_result_series(sel, sel.measurement, group_tags, columns);

@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <bit>
 #include <cmath>
+#include <thread>
 
 #include "lms/analysis/fetch.hpp"
 #include "lms/lineproto/codec.hpp"
@@ -12,6 +15,8 @@
 #include "lms/analysis/patterns.hpp"
 #include "lms/analysis/report.hpp"
 #include "lms/analysis/rules.hpp"
+#include "lms/cluster/harness.hpp"
+#include "lms/obs/trace.hpp"
 
 namespace lms::analysis {
 namespace {
@@ -77,7 +82,9 @@ TEST(FetcherTest, FetchFilteredAndWindowed) {
   EXPECT_FALSE(bad.fetch({"cpu", "user_percent"}, {}, 0, 100 * kSec).ok());
 }
 
-TEST(FetcherTest, HostsOfJob) {
+// ---------------------------------------------------------------- frame
+
+TEST(JobFrameTest, DiscoversKeysOfJob) {
   tsdb::Storage storage;
   write_series(storage, "cpu", "user_percent", "h1", "1", 0, 10 * kSec, kSec,
                [](double) { return 1.0; });
@@ -86,8 +93,199 @@ TEST(FetcherTest, HostsOfJob) {
   write_series(storage, "cpu", "user_percent", "h3", "2", 0, 10 * kSec, kSec,
                [](double) { return 1.0; });
   MetricFetcher fetcher(storage, "lms");
-  EXPECT_EQ(fetcher.hosts_of_job({"cpu", "user_percent"}, "1"),
-            (std::vector<std::string>{"h1", "h2"}));
+  const JobFrame frame(fetcher, "1", 0, 10 * kSec, {{"cpu", "user_percent"}}, "hostname");
+  EXPECT_EQ(frame.keys(), (std::vector<std::string>{"h1", "h2"}));
+}
+
+std::vector<std::uint64_t> bits(const std::vector<double>& values) {
+  std::vector<std::uint64_t> out;
+  for (const double v : values) out.push_back(std::bit_cast<std::uint64_t>(v));
+  return out;
+}
+
+/// The frame's oracle: every (ref, key) series it serves equals, in times
+/// and value bits, what a single fetch of that key returns.
+void expect_frame_matches_fetch(const MetricFetcher& fetcher, const JobFrame& frame,
+                                const std::vector<MetricRef>& refs,
+                                const std::string& group_key = "hostname") {
+  for (const auto& ref : refs) {
+    for (const auto& key : frame.keys()) {
+      const auto expected =
+          group_key == "hostname"
+              ? fetcher.fetch_host(ref, key, frame.job_id(), frame.t0(), frame.t1())
+              : fetcher.fetch(ref, {{"jobid", frame.job_id()}, {group_key, key}}, frame.t0(),
+                              frame.t1());
+      ASSERT_TRUE(expected.ok()) << expected.message();
+      const MetricSeries& got = frame.series(ref, key);
+      EXPECT_EQ(got.times, expected->times) << ref.to_string() << " " << key;
+      EXPECT_EQ(bits(got.values), bits(expected->values)) << ref.to_string() << " " << key;
+    }
+  }
+}
+
+/// Write one point per (tag set, t) with value value_fn(index of tag set, t).
+void write_tagged(
+    tsdb::Storage& storage, const std::string& measurement, const std::string& field,
+    const std::vector<std::vector<lineproto::Tag>>& tag_sets, util::TimeNs t0, util::TimeNs t1,
+    util::TimeNs step,
+    const std::function<lineproto::FieldValue(std::size_t, util::TimeNs)>& value_fn) {
+  std::vector<lineproto::Point> points;
+  for (util::TimeNs t = t0; t < t1; t += step) {
+    for (std::size_t i = 0; i < tag_sets.size(); ++i) {
+      lineproto::Point p;
+      p.measurement = measurement;
+      for (const auto& [k, v] : tag_sets[i]) p.set_tag(k, v);
+      p.add_field(field, value_fn(i, t));
+      p.timestamp = t;
+      p.normalize();
+      points.push_back(std::move(p));
+    }
+  }
+  storage.write("lms", points, 0);
+}
+
+TEST(JobFrameTest, OracleOneSeriesPerHostHarnessJob) {
+  cluster::ClusterHarness::Options opts;
+  opts.nodes = 2;
+  cluster::ClusterHarness harness(opts);
+  const int job = harness.submit("stream", "alice", 2, 10 * kMin);
+  ASSERT_TRUE(harness.run_until_done(job, 30 * kMin));
+  const auto* record = harness.job_record(job);
+  std::vector<MetricRef> refs;
+  for (const auto& check : default_checks()) refs.push_back(check.metric);
+  refs.insert(refs.end(), signature_metrics().begin(), signature_metrics().end());
+  const JobFrame frame(harness.fetcher(), record->nodes, std::to_string(job),
+                       record->start_time, record->end_time, refs);
+  EXPECT_GT(frame.series_count(), 0u);
+  expect_frame_matches_fetch(harness.fetcher(), frame, refs);
+}
+
+TEST(JobFrameTest, OracleSeveralSeriesPerHostWithEqualTimestamps) {
+  tsdb::Storage storage;
+  // cpu0..3 and cpu-total per host, all at the same timestamps.
+  std::vector<std::vector<lineproto::Tag>> cpu_tags;
+  for (const std::string host : {"h1", "h2"}) {
+    for (const std::string cpu : {"cpu0", "cpu1", "cpu2", "cpu3", "cpu-total"}) {
+      cpu_tags.push_back({{"hostname", host}, {"jobid", "1"}, {"cpu", cpu}});
+    }
+  }
+  write_tagged(storage, "cpu", "user_percent", cpu_tags, 0, 5 * kMin, 10 * kSec,
+               [](std::size_t i, util::TimeNs t) {
+                 return lineproto::FieldValue(static_cast<double>(i) * 10.0 +
+                                              util::ns_to_seconds(t) / 7.0);
+               });
+  // HPM node series plus one series per socket (per_socket_fields).
+  write_tagged(storage, "likwid_mem_dp", "dp_mflop_per_s",
+               {{{"hostname", "h1"}, {"jobid", "1"}},
+                {{"hostname", "h1"}, {"jobid", "1"}, {"socket", "0"}},
+                {{"hostname", "h1"}, {"jobid", "1"}, {"socket", "1"}},
+                {{"hostname", "h2"}, {"jobid", "1"}}},
+               0, 5 * kMin, 10 * kSec,
+               [](std::size_t i, util::TimeNs) {
+                 return lineproto::FieldValue(1000.0 + static_cast<double>(i));
+               });
+  MetricFetcher fetcher(storage, "lms");
+  const std::vector<MetricRef> refs{{"cpu", "user_percent"}, {"likwid_mem_dp", "dp_mflop_per_s"}};
+  const JobFrame frame(fetcher, {"h1", "h2"}, "1", 0, 5 * kMin, refs);
+  // One value per timestamp survives, whichever series sorted last.
+  EXPECT_EQ(frame.series(refs[0], "h1").size(), 30u);
+  EXPECT_EQ(frame.series(refs[1], "h1").size(), 30u);
+  expect_frame_matches_fetch(fetcher, frame, refs);
+}
+
+TEST(JobFrameTest, OracleDuplicateTimestampsAndStringWinners) {
+  tsdb::Storage storage;
+  // The same (series, t) written twice: both samples stay in the column.
+  for (int round = 0; round < 2; ++round) {
+    write_series(storage, "memory", "used_percent", "h1", "1", 0, 2 * kMin, 10 * kSec,
+                 [round](double t) { return t + round * 0.5; });
+  }
+  // A string-valued series next to a numeric one of the same host: at some
+  // timestamps the string sorts last and the fetch drops that row.
+  write_tagged(storage, "network", "rx_bytes_per_sec",
+               {{{"hostname", "h1"}, {"jobid", "1"}, {"iface", "eth0"}},
+                {{"hostname", "h1"}, {"jobid", "1"}, {"iface", "ib0"}}},
+               0, 2 * kMin, 10 * kSec, [](std::size_t i, util::TimeNs t) {
+                 if (i == 1 && (t / (10 * kSec)) % 3 == 0) return lineproto::FieldValue("down");
+                 return lineproto::FieldValue(static_cast<double>(i + 1));
+               });
+  // At 65 s only the string exists, so it always wins and the row drops.
+  write_tagged(storage, "network", "rx_bytes_per_sec",
+               {{{"hostname", "h1"}, {"jobid", "1"}, {"iface", "ib0"}}}, 65 * kSec, 66 * kSec,
+               kSec, [](std::size_t, util::TimeNs) { return lineproto::FieldValue("down"); });
+  MetricFetcher fetcher(storage, "lms");
+  const std::vector<MetricRef> refs{{"memory", "used_percent"}, {"network", "rx_bytes_per_sec"}};
+  const JobFrame frame(fetcher, {"h1"}, "1", 0, 2 * kMin, refs);
+  EXPECT_EQ(frame.series(refs[0], "h1").size(), 12u);
+  const auto& rx_times = frame.series(refs[1], "h1").times;
+  EXPECT_EQ(std::count(rx_times.begin(), rx_times.end(), 65 * kSec), 0);
+  expect_frame_matches_fetch(fetcher, frame, refs);
+}
+
+TEST(JobFrameTest, OracleEmptyJobIdMissingHostAndCutRange) {
+  tsdb::Storage storage;
+  for (const std::string host : {"h1", "h2"}) {
+    for (const std::string job : {"1", "2"}) {
+      write_series(storage, "cpu", "user_percent", host, job, 0, 10 * kMin, 10 * kSec,
+                   [&](double t) { return t + (job == "1" ? 0.25 : 0.75); });
+    }
+  }
+  MetricFetcher fetcher(storage, "lms");
+  const std::vector<MetricRef> refs{{"cpu", "user_percent"}, {"cpu", "system_percent"},
+                                    {"gpu", "util"}};
+  // No job id: each host is matched on its own, across both jobs; h9 has
+  // no data. The range cuts every series in the middle, off the grid.
+  const util::TimeNs t0 = 2 * kMin + 5 * kSec;
+  const util::TimeNs t1 = 7 * kMin + 5 * kSec;
+  const JobFrame all_jobs(fetcher, {"h1", "h9", "h2"}, "", t0, t1, refs);
+  EXPECT_EQ(all_jobs.series(refs[0], "h1").size(), 30u);
+  EXPECT_TRUE(all_jobs.series(refs[0], "h9").empty());
+  EXPECT_TRUE(all_jobs.series(refs[2], "h1").empty());
+  expect_frame_matches_fetch(fetcher, all_jobs, refs);
+  const JobFrame one_job(fetcher, {"h1", "h9", "h2"}, "2", t0, t1, refs);
+  expect_frame_matches_fetch(fetcher, one_job, refs);
+  // A missing database serves empty series.
+  const MetricFetcher missing(storage, "missing");
+  EXPECT_TRUE(JobFrame(missing, {"h1"}, "1", t0, t1, refs).series(refs[0], "h1").empty());
+}
+
+TEST(JobFrameTest, OracleGlobMeasurement) {
+  tsdb::Storage storage;
+  write_series(storage, "likwid_mem_dp", "cpi", "h1", "1", 0, kMin, 10 * kSec,
+               [](double t) { return 1.0 + t; });
+  write_series(storage, "likwid_flops_dp", "cpi", "h1", "1", 0, kMin, 10 * kSec,
+               [](double t) { return 2.0 + t; });
+  MetricFetcher fetcher(storage, "lms");
+  const std::vector<MetricRef> refs{{"likwid_*", "cpi"}};
+  const JobFrame frame(fetcher, {"h1"}, "1", 0, kMin, refs);
+  EXPECT_EQ(frame.series(refs[0], "h1").size(), 12u);
+  expect_frame_matches_fetch(fetcher, frame, refs);
+}
+
+TEST(JobFrameTest, OracleRegionGroupKey) {
+  tsdb::Storage storage;
+  std::vector<std::vector<lineproto::Tag>> tags;
+  for (const std::string host : {"h1", "h2"}) {
+    for (const std::string region : {"init", "solve"}) {
+      tags.push_back({{"hostname", host}, {"jobid", "7"}, {"region", region}});
+    }
+  }
+  tags.push_back({{"hostname", "h1"}, {"jobid", "8"}, {"region", "other_job"}});
+  for (const std::string field : {"dp_mflop_per_s", "inclusive_ns"}) {
+    write_tagged(storage, "lms_regions", field, tags, 0, 3 * kMin, 30 * kSec,
+                 [](std::size_t i, util::TimeNs t) {
+                   return lineproto::FieldValue(static_cast<double>(i + 1) *
+                                                (1.0 + util::ns_to_seconds(t)));
+                 });
+  }
+  MetricFetcher fetcher(storage, "lms");
+  const std::vector<MetricRef> refs{{"lms_regions", "dp_mflop_per_s"},
+                                    {"lms_regions", "inclusive_ns"},
+                                    {"lms_regions", "count"}};
+  const JobFrame frame(fetcher, "7", kMin, 3 * kMin, refs, "region");
+  EXPECT_EQ(frame.keys(), (std::vector<std::string>{"init", "solve"}));
+  EXPECT_EQ(frame.keys(), fetcher.tag_values("lms_regions", "region", {{"jobid", "7"}}));
+  expect_frame_matches_fetch(fetcher, frame, refs, "region");
 }
 
 // ---------------------------------------------------------------- rules
@@ -522,6 +720,60 @@ TEST(ReportTest, CustomChecksAndRules) {
   ASSERT_EQ(eval.rows.size(), 1u);
   EXPECT_EQ(eval.rows[0].overall, Verdict::kCritical);
   EXPECT_TRUE(eval.findings.empty());
+}
+
+TEST(ReportTest, EvaluateRecordsOneSpan) {
+  tsdb::Storage storage;
+  write_series(storage, "cpu", "user_percent", "h1", "1", 0, 10 * kMin, 10 * kSec,
+               [](double) { return 50.0; });
+  MetricFetcher fetcher(storage, "lms");
+  const JobReporter reporter(fetcher, hpm::simx86());
+  obs::SpanRecorder& recorder = obs::SpanRecorder::global();
+  const std::uint64_t before = recorder.recorded();
+  (void)reporter.evaluate("1", {"h1"}, 0, 10 * kMin);
+  ASSERT_EQ(recorder.recorded(), before + 1);
+  const obs::SpanRecord span = recorder.recent(1).at(0);
+  EXPECT_EQ(span.name, "analysis.evaluate");
+  EXPECT_EQ(span.component, "analysis");
+  EXPECT_EQ(span.note, "series=1 samples=60");
+  {
+    const obs::TraceSuppressGuard quiet;
+    (void)reporter.evaluate("1", {"h1"}, 0, 10 * kMin);
+  }
+  EXPECT_EQ(recorder.recorded(), before + 1);
+}
+
+TEST(ReportTest, EvaluateWhileTwoThreadsWrite) {
+  tsdb::Storage storage;
+  const util::TimeNs end = 10 * kMin;
+  for (const std::string host : {"h1", "h2"}) {
+    write_series(storage, "cpu", "user_percent", host, "1", 0, end, 10 * kSec,
+                 [](double) { return 50.0; });
+    write_fig4(storage, host, 2 * kMin, 5 * kMin);
+  }
+  MetricFetcher fetcher(storage, "lms");
+  const JobReporter reporter(fetcher, hpm::simx86());
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> writers;
+  for (int w = 0; w < 2; ++w) {
+    writers.emplace_back([&, w] {
+      // Writer 0 appends to the job's own series, writer 1 to other hosts.
+      const std::string host = w == 0 ? "h1" : "h" + std::to_string(10 + w);
+      for (util::TimeNs t = end; !stop.load(); t += kSec) {
+        write_series(storage, "cpu", "user_percent", host, "1", t, t + kSec, kSec,
+                     [](double) { return 10.0; });
+      }
+    });
+  }
+  for (int i = 0; i < 20; ++i) {
+    const JobEvaluation eval = reporter.evaluate("1", {"h1", "h2"}, 0, end);
+    ASSERT_EQ(eval.rows[0].cells.size(), 2u);
+    // Writes land after `end`, so the window's answer never changes.
+    EXPECT_EQ(eval.rows[0].cells[0].value, 50.0);
+    EXPECT_EQ(eval.rows[0].cells[1].value, 50.0);
+  }
+  stop = true;
+  for (auto& t : writers) t.join();
 }
 
 }  // namespace
