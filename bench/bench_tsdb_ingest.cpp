@@ -1,25 +1,19 @@
 // Prices the sharded storage engine's ingest path: N writer threads append
-// batches into one database while query threads run aggregations against it
-// (the dashboard-poll mix from the paper's production setting). Every
-// configuration runs twice — against a single-stripe storage (the old
-// global-lock layout, Storage(1)) and against the default 16-stripe layout —
-// so the speedup from lock striping is measured, not assumed. A third
-// configuration runs the 16-stripe layout with a core::TaskScheduler
-// attached (Database::set_scheduler): contended stripe writes stage their
-// batches for pinned per-stripe drain tasks instead of convoying on the
-// stripe lock. Writes the numbers as a machine-readable baseline to
-// BENCH_tsdb_ingest.json.
+// batches into one 16-stripe database while query threads run aggregations
+// against it (the dashboard-poll mix from the paper's production setting).
+// Each writer count runs kReps times and reports the median, so the scaling
+// from 1 to 8 writers is measured, not assumed. Writes the numbers as a
+// machine-readable baseline to BENCH_tsdb_ingest.json.
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench_util.hpp"
-#include "lms/core/taskscheduler.hpp"
 #include "lms/json/json.hpp"
 #include "lms/tsdb/query.hpp"
 #include "lms/tsdb/storage.hpp"
@@ -35,6 +29,7 @@ const int kPointsPerWriter = bench::scaled(40'000, 1'000);
 constexpr int kBatchSize = 100;      // points per storage.write(), like a collector batch
 constexpr int kQueryThreads = 2;     // dashboard-style pollers
 constexpr int kHostsPerWriter = 64;  // distinct series per writer thread
+const int kReps = bench::scaled(5, 1);  // median over reps per writer count
 
 struct RunResult {
   double points_per_sec = 0;
@@ -42,15 +37,10 @@ struct RunResult {
   std::uint64_t queries_served = 0;
 };
 
-RunResult run_ingest(std::size_t stripes, int writer_threads, bool offload = false) {
-  tsdb::Storage storage(stripes);
+RunResult run_ingest(int writer_threads) {
+  tsdb::Storage storage;
   storage.database("lms");  // pre-create so queriers never miss it
   tsdb::Engine engine(storage);
-  std::unique_ptr<core::TaskScheduler> sched;
-  if (offload) {
-    sched = std::make_unique<core::TaskScheduler>();
-    storage.set_scheduler(sched.get());
-  }
 
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> queries{0};
@@ -96,12 +86,6 @@ RunResult run_ingest(std::size_t stripes, int writer_threads, bool offload = fal
   const double wall_ns = static_cast<double>(util::monotonic_now_ns() - start);
   stop.store(true);
   for (auto& t : queriers) t.join();
-  if (sched != nullptr) {
-    // Quiesce before the storage goes out of scope: queued drain tasks
-    // capture shard references.
-    storage.set_scheduler(nullptr);
-    sched->stop();
-  }
 
   RunResult res;
   res.wall_ms = wall_ns / 1e6;
@@ -110,66 +94,55 @@ RunResult run_ingest(std::size_t stripes, int writer_threads, bool offload = fal
   return res;
 }
 
+RunResult median_run(int writer_threads) {
+  std::vector<RunResult> runs;
+  for (int rep = 0; rep < kReps; ++rep) runs.push_back(run_ingest(writer_threads));
+  std::sort(runs.begin(), runs.end(), [](const RunResult& a, const RunResult& b) {
+    return a.points_per_sec < b.points_per_sec;
+  });
+  return runs[runs.size() / 2];
+}
+
 }  // namespace
 
 int main() {
   const unsigned hw = std::thread::hardware_concurrency();
   std::printf("=== bench_tsdb_ingest: %d pts/writer, batches of %d, %d query threads, "
-              "%u hardware threads ===\n\n",
-              kPointsPerWriter, kBatchSize, kQueryThreads, hw);
-  std::printf("%-22s %8s %12s %12s %10s\n", "config", "writers", "Mpts/s", "wall ms",
-              "queries");
+              "%d reps, %u hardware threads ===\n\n",
+              kPointsPerWriter, kBatchSize, kQueryThreads, kReps, hw);
+  std::printf("%8s %12s %12s %10s\n", "writers", "Mpts/s", "wall ms", "queries");
 
   const int writer_counts[] = {1, 4, 8};
   json::Array runs;
-  double speedup_at_8 = 0;
-  double sched_speedup_at_8 = 0;
+  double one_writer = 0;
+  double scaling_at_8 = 0;
   for (const int writers : writer_counts) {
-    const RunResult single = run_ingest(1, writers);
-    const RunResult sharded = run_ingest(tsdb::Database::kDefaultShards, writers);
-    const RunResult offload =
-        run_ingest(tsdb::Database::kDefaultShards, writers, /*offload=*/true);
-    const double speedup = sharded.points_per_sec / single.points_per_sec;
-    const double sched_speedup = offload.points_per_sec / single.points_per_sec;
-    if (writers == 8) {
-      speedup_at_8 = speedup;
-      sched_speedup_at_8 = sched_speedup;
-    }
-    std::printf("%-22s %8d %12.2f %12.1f %10llu\n", "single-stripe", writers,
-                single.points_per_sec / 1e6, single.wall_ms,
-                static_cast<unsigned long long>(single.queries_served));
-    std::printf("%-22s %8d %12.2f %12.1f %10llu   (%.2fx)\n", "sharded-16", writers,
-                sharded.points_per_sec / 1e6, sharded.wall_ms,
-                static_cast<unsigned long long>(sharded.queries_served), speedup);
-    std::printf("%-22s %8d %12.2f %12.1f %10llu   (%.2fx)\n", "sharded-16+sched", writers,
-                offload.points_per_sec / 1e6, offload.wall_ms,
-                static_cast<unsigned long long>(offload.queries_served), sched_speedup);
-    for (const auto* r : {&single, &sharded, &offload}) {
-      json::Object o;
-      o["stripes"] = (r == &single) ? 1 : static_cast<std::int64_t>(tsdb::Database::kDefaultShards);
-      o["scheduler"] = (r == &offload);
-      o["writer_threads"] = writers;
-      o["points_per_sec"] = r->points_per_sec;
-      o["wall_ms"] = r->wall_ms;
-      o["queries_served"] = static_cast<std::int64_t>(r->queries_served);
-      runs.emplace_back(std::move(o));
-    }
+    const RunResult r = median_run(writers);
+    if (writers == 1) one_writer = r.points_per_sec;
+    if (writers == 8) scaling_at_8 = r.points_per_sec / one_writer;
+    std::printf("%8d %12.2f %12.1f %10llu\n", writers, r.points_per_sec / 1e6, r.wall_ms,
+                static_cast<unsigned long long>(r.queries_served));
+    json::Object o;
+    o["writer_threads"] = writers;
+    o["points_per_sec"] = r.points_per_sec;
+    o["wall_ms"] = r.wall_ms;
+    o["queries_served"] = static_cast<std::int64_t>(r.queries_served);
+    runs.emplace_back(std::move(o));
   }
 
   json::Object top;
   top["bench"] = "bench_tsdb_ingest";
-  // Lock striping buys parallel writes; the measured speedup scales with the
-  // cores actually available (on a single-core box it only reflects reduced
-  // lock-handoff overhead, not parallelism).
+  // Lock striping buys parallel writes; the measured scaling depends on the
+  // cores actually available.
   top["hardware_threads"] = static_cast<std::int64_t>(hw);
+  top["stripes"] = static_cast<std::int64_t>(tsdb::Database::kDefaultShards);
   top["points_per_writer"] = kPointsPerWriter;
   top["batch_size"] = kBatchSize;
   top["query_threads"] = kQueryThreads;
+  top["reps"] = kReps;
   top["runs"] = std::move(runs);
-  top["speedup_8_writers"] = speedup_at_8;
-  top["sched_speedup_8_writers"] = sched_speedup_at_8;
-  std::printf("\nsharded speedup at 8 writers: %.2fx   with scheduler offload: %.2fx\n",
-              speedup_at_8, sched_speedup_at_8);
+  top["scaling_8_vs_1_writers"] = scaling_at_8;
+  std::printf("\n8-writer throughput over 1-writer throughput: %.2fx\n", scaling_at_8);
   return bench::write_baseline("BENCH_tsdb_ingest.json",
                                json::Value(std::move(top)).dump_pretty())
              ? 0

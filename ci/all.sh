@@ -3,8 +3,8 @@
 #
 #   1. tier-1: default configure + build + full ctest suite, then the same
 #      suite again with LMS_SCHED_WORKERS=1 — every TaskScheduler that
-#      sizes itself from the environment collapses to one worker, so the
-#      work-stealing runtime must also be correct fully serialized
+#      sizes itself from the environment collapses to one worker, so every
+#      periodic task must also be correct when all of them share one lane
 #   2. tier-1 again with -DLMS_LOCK_STATS=ON: the contention-instrumented
 #      wrapper layout (lms::core::sync lockstats) must pass the same suite,
 #      and the instrumented bench_lock_stats must run (smoke budget)

@@ -9,8 +9,8 @@
 # ingest flusher task, trace context hand-off to the flusher), profiling
 # (concurrent region markers against the per-thread stacks and shared
 # aggregates of the marker SDK), core_sched (the TaskScheduler runtime:
-# work stealing, pinned affinity lanes, timer heap, periodic fixed-delay
-# re-arm, shutdown drain, and the TSDB staged-write offload), cpuprofile
+# per-worker FIFO lanes, timer heap, periodic fixed-delay re-arm, trigger
+# storms against one task, cancel, shutdown drain), cpuprofile
 # (the sampling CPU profiler: SIGPROF handler vs. the per-thread SPSC rings
 # vs. the fold task, plus the timer-mode busy-loop capture — TSan/ASan are
 # the strongest checks that the signal-context ring writes are race- and

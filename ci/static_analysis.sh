@@ -6,9 +6,10 @@
 #      (lms_module() already injects -Wall -Wextra -Werror) — always runs.
 #   2. clang build with -Wthread-safety -Werror so the Clang Thread Safety
 #      Analysis attributes in core/sync.hpp are actually checked. The
-#      header-only core/taskscheduler.hpp is analyzed through the lms_core
-#      TUs that include it (router.cpp), so the scheduler's lock discipline
-#      rides this stage too.
+#      header-only core/taskscheduler.hpp is analyzed through the library
+#      TUs of its periodic-task users (router.cpp, the TSDB's CQ runner and
+#      HTTP API, the alert evaluator, the exporters), so the scheduler's
+#      lock discipline rides this stage too.
 #   3. negative-compile probe: tests/negative_compile/guarded_by_violation.cpp
 #      must FAIL to compile under -Wthread-safety -Werror; if it compiles, the
 #      annotation macros have silently gone inert and the gate is worthless.

@@ -267,7 +267,7 @@ int main(int argc, char** argv) {
               router_server.url().c_str());
 
   if (serve) {
-    // One shared work-stealing runtime drives every background loop of the
+    // One shared task scheduler drives every background loop of the
     // daemon: self-scrape, trace export and alert evaluation all become
     // periodic tasks (visible under GET /debug/runtime on either port).
     core::TaskScheduler::Options sched_opts;

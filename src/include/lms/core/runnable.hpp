@@ -39,7 +39,6 @@ class Runnable {
   /// already attached. `sched` must outlive the attachment.
   void attach(TaskScheduler& sched) {
     if (state_.load(std::memory_order_acquire) == State::kAttached) return;
-    sched_ = &sched;
     on_attach(sched);
     state_.store(State::kAttached, std::memory_order_release);
   }
@@ -49,7 +48,6 @@ class Runnable {
   void detach() {
     if (state_.load(std::memory_order_acquire) != State::kAttached) return;
     on_detach();
-    sched_ = nullptr;
     state_.store(State::kDetached, std::memory_order_release);
   }
 
@@ -73,15 +71,10 @@ class Runnable {
   /// finished (PeriodicTaskHandle::cancel gives this for free).
   virtual void on_detach() = 0;
 
-  /// The scheduler attached to, nullptr otherwise. For derived classes that
-  /// submit extra one-shot tasks while attached.
-  TaskScheduler* scheduler() const { return sched_; }
-
  private:
   enum class State { kNeverAttached, kAttached, kDetached };
 
   std::atomic<State> state_{State::kNeverAttached};
-  TaskScheduler* sched_ = nullptr;
 };
 
 }  // namespace lms::core

@@ -78,15 +78,14 @@ namespace impl {
 inline thread_local const char* tls_task_name = nullptr;
 }  // namespace impl
 
-/// The scheduler task (periodic task name, or the generic "sched.submit"/
-/// "sched.pinned"/"sched.delayed" lanes) the calling thread is executing,
-/// nullptr outside any task. The CPU profiler tags samples with this, so a
+/// The periodic scheduler task the calling thread is executing, nullptr
+/// outside any task. The CPU profiler tags samples with this, so a
 /// hot periodic task can be pivoted straight into its flamegraph.
 inline const char* current_task_name() { return impl::tls_task_name; }
 
 /// RAII task-name bracket. The name must stay valid for the scope's
-/// lifetime (the scheduler passes names owned by live PeriodicState /
-/// string literals, both of which outlive the run).
+/// lifetime (the scheduler passes names owned by the live PeriodicState,
+/// which outlives the run).
 class TaskNameScope {
  public:
   explicit TaskNameScope(const char* name) : prev_(impl::tls_task_name) {
@@ -264,14 +263,11 @@ void unregister_scheduler(const struct SchedStats* stats);
 struct SchedStats {
   const char* name = nullptr;
   std::size_t workers = 0;
-  std::atomic<std::uint64_t> submitted{0};       ///< tasks handed to the scheduler
-  std::atomic<std::uint64_t> executed{0};        ///< tasks that ran to completion
-  std::atomic<std::uint64_t> stolen{0};          ///< tasks taken from another worker
-  std::atomic<std::uint64_t> steal_attempts{0};  ///< steal scans (incl. empty-handed)
-  std::atomic<std::uint64_t> pinned{0};          ///< affinity submissions (non-stealable)
-  std::atomic<std::uint64_t> delayed{0};         ///< submit_after / periodic re-arms
-  std::atomic<std::uint64_t> periodic_runs{0};   ///< periodic-task iterations
-  std::atomic<std::uint64_t> depth{0};           ///< ready tasks across all queues
+  std::atomic<std::uint64_t> submitted{0};       ///< runs queued (due timers + triggers)
+  std::atomic<std::uint64_t> executed{0};        ///< queued runs taken off a lane
+  std::atomic<std::uint64_t> delayed{0};         ///< timer arms (first run + re-arms)
+  std::atomic<std::uint64_t> periodic_runs{0};   ///< task bodies that ran
+  std::atomic<std::uint64_t> depth{0};           ///< queued runs across all lanes
   std::atomic<std::uint64_t> high_watermark{0};  ///< max observed ready depth
 
   void on_enqueue(std::uint64_t new_depth) {
@@ -438,9 +434,6 @@ struct SchedSnapshot {
   std::size_t workers;
   std::uint64_t submitted;
   std::uint64_t executed;
-  std::uint64_t stolen;
-  std::uint64_t steal_attempts;
-  std::uint64_t pinned;
   std::uint64_t delayed;
   std::uint64_t periodic_runs;
   std::uint64_t depth;
@@ -496,9 +489,6 @@ inline std::vector<SchedSnapshot> sched_snapshot() {
     s.workers = sc->workers;
     s.submitted = sc->submitted.load(std::memory_order_relaxed);
     s.executed = sc->executed.load(std::memory_order_relaxed);
-    s.stolen = sc->stolen.load(std::memory_order_relaxed);
-    s.steal_attempts = sc->steal_attempts.load(std::memory_order_relaxed);
-    s.pinned = sc->pinned.load(std::memory_order_relaxed);
     s.delayed = sc->delayed.load(std::memory_order_relaxed);
     s.periodic_runs = sc->periodic_runs.load(std::memory_order_relaxed);
     s.depth = sc->depth.load(std::memory_order_relaxed);

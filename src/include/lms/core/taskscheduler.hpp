@@ -2,34 +2,21 @@
 
 // lms::core::TaskScheduler — the stack's shared background runtime.
 //
-// A work-stealing pool that replaces the seven hand-rolled
-// thread+CondVar+stop_ loops (router flusher, CQ runner, retention, alert
-// evaluator, trace exporter, self-scrape, collector send loop) with one set
-// of worker threads and a declarative task API:
+// One set of worker threads runs the stack's periodic tasks (router
+// flusher, CQ runner, retention, alert evaluator, exporters, collector send
+// loop), which replaced seven hand-rolled thread+CondVar+stop_ loops:
 //
-//   - submit(fn)                 run-soon task; lands on the submitter's own
-//                                worker when called from a worker (LIFO
-//                                locality), round-robin otherwise. Stealable.
-//   - submit(fn, affinity_key)   pinned task: always runs on worker
-//                                (key % workers) and is never stolen. A
-//                                single worker executes its pinned lane in
-//                                FIFO order, so two tasks with the same key
-//                                never run concurrently — this is how
-//                                per-shard TSDB writes keep cache locality
-//                                and mutual exclusion without a lock convoy.
-//   - submit_after(delay, fn)    delayed task via a min-heap serviced by the
-//                                workers themselves (no dedicated timer
-//                                thread).
-//   - submit_periodic(...)       named periodic task with fixed-delay
-//                                semantics (next due = completion +
-//                                interval) and a per-task LoopStats row in
-//                                /debug/runtime. Returns a handle that can
-//                                trigger() an early run or cancel().
+//   submit_periodic(name, interval, fn)
+//       named periodic task with fixed-delay semantics (next due =
+//       completion + interval) and a per-task LoopStats row in
+//       /debug/runtime. Returns a handle that can trigger() an early run or
+//       cancel().
 //
-// Scheduling shape (tateyama-style): each worker owns a deque used LIFO
-// from its own end (newest first, cache-warm) and stolen FIFO from the
-// other end, half at a time, by idle workers. Pinned lanes are separate
-// FIFO queues that stealing never touches.
+// Scheduling shape: each task has a home worker (its state address modulo
+// the worker count), and each worker runs its FIFO lane in order, so two
+// runs of one task never overlap. Triggers coalesce: at most one triggered
+// run per task waits in a lane. Due timers sit in one min-heap that the
+// workers service themselves (no dedicated timer thread).
 //
 // Locking discipline: all internal mutexes are core::sync wrappers at
 // Rank::kSched (worker i uses seq=i, the timer heap seq=workers), so rank
@@ -39,14 +26,14 @@
 // lower-ranked component locks (kAlert, kTsdbShard, ...).
 //
 // Manual mode (Options::manual) runs no threads: the owner drives the same
-// task graph deterministically with run_ready() / advance_to(now) on a
+// tasks deterministically with run_ready() / advance_to(now) on a
 // simulated-time axis. The cluster harness uses this so every test stays
 // reproducible; the threaded mode uses the monotonic clock.
 //
-// Shutdown: stop() drains every ready task (including pinned lanes), drops
-// timers that are not yet due, and joins the workers. After stop(),
-// submissions execute inline on the caller so no work is ever silently
-// lost.
+// Shutdown: stop() runs every queued run (e.g. a trigger() that had not
+// been picked up yet), drops timers that are not yet due, and joins the
+// workers. After stop(), trigger() is a no-op and new periodic tasks never
+// run.
 
 #include <algorithm>
 #include <atomic>
@@ -72,9 +59,17 @@ class TaskScheduler;
 
 namespace sched_detail {
 struct PeriodicState;
-struct QueuedTask;
 struct Worker;
 struct TimerQueue;
+
+/// One run of a periodic task, stamped with the task generation it was
+/// armed for (a stale generation makes the run a no-op) and with its
+/// enqueue time on the scheduler's clock (for the queue-delay table).
+struct Run {
+  std::shared_ptr<PeriodicState> state;
+  std::uint64_t gen = 0;
+  util::TimeNs enqueued_ns = 0;
+};
 }  // namespace sched_detail
 
 /// Handle to a periodic task. Move-only; the destructor cancels the task if
@@ -131,17 +126,6 @@ class TaskScheduler {
   TaskScheduler(const TaskScheduler&) = delete;
   TaskScheduler& operator=(const TaskScheduler&) = delete;
 
-  /// Run-soon task (stealable). After stop() the task runs inline.
-  void submit(Task fn);
-
-  /// Pinned task: runs on worker (affinity_key % workers), never stolen,
-  /// FIFO within the key's worker — tasks sharing a key never overlap.
-  void submit(Task fn, std::uint64_t affinity_key);
-
-  /// Run `fn` once, no earlier than `delay` from now (monotonic time in
-  /// threaded mode, the advance_to() axis in manual mode).
-  void submit_after(util::TimeNs delay, Task fn);
-
   /// Named periodic task with fixed-delay semantics: the next run becomes
   /// due `interval` after the previous run *completes* (threaded mode), or
   /// `interval` after the advance that ran it (manual mode — one run per
@@ -150,70 +134,56 @@ class TaskScheduler {
   /// manual mode. The name labels a LoopStats duty-cycle row.
   PeriodicTaskHandle submit_periodic(std::string name, util::TimeNs interval, Task fn);
 
-  /// Drain ready tasks, drop undue timers, join workers. Idempotent.
+  /// Run queued runs, drop undue timers, join workers. Idempotent.
   void stop();
 
   // --- manual mode -------------------------------------------------------
 
-  /// Manual mode only: run queued tasks until every queue is empty.
-  /// Returns the number of tasks executed.
+  /// Manual mode only: run queued runs until every lane is empty.
+  /// Returns the number of runs executed.
   std::size_t run_ready();
 
   /// Manual mode only: move simulated time forward, firing due timers
   /// (periodic tasks re-arm against `now`, so each fires at most once per
-  /// call) and then draining ready tasks. Returns tasks executed.
+  /// call) and then draining the lanes. Returns runs executed.
   std::size_t advance_to(util::TimeNs now);
 
   // --- introspection -----------------------------------------------------
 
   std::size_t worker_count() const { return workers_.size(); }
-  bool manual() const { return options_.manual; }
-  bool stopped() const { return stopped_.load(std::memory_order_acquire); }
-
-  /// True when the calling thread is a worker of *any* TaskScheduler.
-  /// Components that block waiting for an offloaded task use this to fall
-  /// back to inline execution instead of deadlocking the pool.
-  static bool on_worker_thread();
-
   const runtime::SchedStats& stats() const { return stats_; }
 
  private:
   friend class PeriodicTaskHandle;
-  friend struct sched_detail::PeriodicState;
 
-  void enqueue_local(std::size_t index, Task fn, const char* name);
-  void enqueue_pinned(std::size_t index, Task fn, const char* name);
-  void schedule_timer(util::TimeNs due, Task fn, bool pinned, std::uint64_t key,
-                      const char* name);
+  void enqueue(const std::shared_ptr<sched_detail::PeriodicState>& state, std::uint64_t gen);
+  void schedule_timer(util::TimeNs due, const std::shared_ptr<sched_detail::PeriodicState>& state,
+                      std::uint64_t gen);
   void notify_all_workers();
   void worker_loop(std::size_t index);
-  /// Move due timer entries into the worker queues. Returns promoted count.
+  /// Move due timer entries into their home lanes. Returns promoted count.
   std::size_t promote_due_timers(util::TimeNs now);
   util::TimeNs next_timer_due() const;
   util::TimeNs scheduler_now() const;
-  void run_task(Task& fn);
-  /// Record the queued task's submit→run delay, set the task-name TLS scope,
-  /// and execute it. Queue bookkeeping (ready_count_, depth) stays at the
-  /// pop site.
-  void run_queued(sched_detail::QueuedTask& qt);
+  /// Pop the oldest run of `w`'s lane; false when the lane is empty.
+  bool pop(sched_detail::Worker& w, sched_detail::Run& out);
+  /// Record the run's queue delay, set the task-name TLS scope, execute.
+  void run_queued(sched_detail::Run& run);
   void run_periodic(const std::shared_ptr<sched_detail::PeriodicState>& state,
                     std::uint64_t gen);
   void trigger_periodic(const std::shared_ptr<sched_detail::PeriodicState>& state);
-  bool steal_into(std::size_t thief);
-  /// Single-threaded FIFO drain of every queue (manual run_ready + the
-  /// shutdown sweep). Returns the number of tasks executed.
+  /// Single-threaded FIFO drain of every lane (manual run_ready + the
+  /// shutdown sweep). Returns the number of runs executed.
   std::size_t drain_queues();
 
   Options options_;
   runtime::SchedStats stats_;
   std::vector<std::unique_ptr<sched_detail::Worker>> workers_;
   std::unique_ptr<sched_detail::TimerQueue> timers_;
-  std::atomic<std::uint64_t> rr_next_{0};        ///< round-robin cursor
-  std::atomic<std::uint64_t> ready_count_{0};    ///< tasks queued, not yet run
+  std::atomic<std::uint64_t> ready_count_{0};    ///< runs queued, not yet run
   std::atomic<std::uint64_t> timer_version_{0};  ///< bumped on timer insert
   std::atomic<util::TimeNs> manual_now_{0};
   std::atomic<bool> stopping_{false};
-  std::atomic<bool> stopped_{false};
 };
 
 // ===========================================================================
@@ -225,16 +195,6 @@ class TaskScheduler {
 
 namespace sched_detail {
 
-/// A task in a worker lane, stamped with its name (for the task-name TLS
-/// scope and the queue-delay table; always a string literal or a string
-/// owned by a PeriodicState the closure keeps alive) and its enqueue time
-/// on the scheduler's clock, so the pop site can record submit→run latency.
-struct QueuedTask {
-  TaskScheduler::Task fn;
-  const char* name = nullptr;
-  util::TimeNs enqueued_ns = 0;
-};
-
 struct Worker {
   explicit Worker(std::size_t index)
       : mu(sync::Rank::kSched, "sched.worker", index),
@@ -243,11 +203,8 @@ struct Worker {
 
   sync::Mutex mu;
   sync::CondVar cv;
-  /// Stealable lane: owner pushes/pops at the back (LIFO, cache-warm),
-  /// thieves take from the front (FIFO, oldest first).
-  std::deque<QueuedTask> local LMS_GUARDED_BY(mu);
-  /// Affinity lane: strictly FIFO, never stolen.
-  std::deque<QueuedTask> pinned LMS_GUARDED_BY(mu);
+  /// Strictly FIFO: the runs of every task homed on this worker.
+  std::deque<Run> lane LMS_GUARDED_BY(mu);
   std::string loop_name;
   runtime::LoopStats loop;
   std::thread thread;
@@ -256,10 +213,8 @@ struct Worker {
 struct TimerEntry {
   util::TimeNs due;
   std::uint64_t order;  ///< insertion counter: FIFO tie-break for equal due
-  TaskScheduler::Task fn;
-  bool pinned;
-  std::uint64_t key;
-  const char* name;
+  std::shared_ptr<PeriodicState> state;
+  std::uint64_t gen;
 };
 
 /// Comparator for std::push_heap/pop_heap (max-heap order inverted into a
@@ -291,6 +246,8 @@ struct PeriodicState {
   std::string name;
   util::TimeNs interval;
   TaskScheduler::Task fn;
+  /// The worker whose lane runs this task; fixed, so runs never overlap.
+  std::size_t home = 0;
   sync::Mutex mu;
   sync::CondVar cv;
   bool in_flight LMS_GUARDED_BY(mu) = false;
@@ -298,18 +255,16 @@ struct PeriodicState {
   /// stale generation is a no-op when it fires.
   std::atomic<std::uint64_t> gen{0};
   std::atomic<bool> cancelled{false};
-  /// Duty-cycle row named after the task, aggregating across whichever
-  /// workers happen to run it.
+  /// Set by trigger() while its run is queued and not yet started; further
+  /// triggers coalesce into that run instead of superseding it.
+  std::atomic<bool> trigger_queued{false};
+  /// Duty-cycle row named after the task.
   runtime::LoopStats loop;
 };
 
 inline constexpr util::TimeNs kNoTimer = std::numeric_limits<util::TimeNs>::max();
 /// Idle workers re-check state at least this often even with no timer due.
 inline constexpr util::TimeNs kMaxIdleWaitNs = 200 * util::kNanosPerMilli;
-
-/// Worker identity of the calling thread (any scheduler instance).
-inline thread_local TaskScheduler* tls_scheduler = nullptr;
-inline thread_local std::size_t tls_worker_index = 0;
 
 inline std::size_t resolve_workers(std::size_t requested) {
   if (requested != 0) return std::clamp<std::size_t>(requested, 1, 64);
@@ -395,84 +350,32 @@ inline TaskScheduler::~TaskScheduler() {
   runtime::unregister_scheduler(&stats_);
 }
 
-inline bool TaskScheduler::on_worker_thread() {
-  return sched_detail::tls_scheduler != nullptr;
-}
-
 inline util::TimeNs TaskScheduler::scheduler_now() const {
   if (options_.manual) return manual_now_.load(std::memory_order_acquire);
   return static_cast<util::TimeNs>(sync::lockstats::now_ns());
 }
 
-inline void TaskScheduler::run_task(Task& fn) {
-  fn();
+inline void TaskScheduler::run_queued(sched_detail::Run& run) {
+  const util::TimeNs now = scheduler_now();
+  const std::uint64_t delay_ns =
+      now > run.enqueued_ns ? static_cast<std::uint64_t>(now - run.enqueued_ns) : 0;
+  const char* name = run.state->name.c_str();
+  runtime::sched_delay::record(runtime::sched_delay::intern(name), delay_ns);
+  runtime::TaskNameScope name_scope(name);
+  run_periodic(run.state, run.gen);
   stats_.executed.fetch_add(1, std::memory_order_relaxed);
 }
 
-inline void TaskScheduler::run_queued(sched_detail::QueuedTask& qt) {
-  const util::TimeNs now = scheduler_now();
-  const std::uint64_t delay_ns =
-      now > qt.enqueued_ns ? static_cast<std::uint64_t>(now - qt.enqueued_ns) : 0;
-  runtime::sched_delay::record(runtime::sched_delay::intern(qt.name), delay_ns);
-  runtime::TaskNameScope name_scope(qt.name);
-  run_task(qt.fn);
-}
-
-inline void TaskScheduler::enqueue_local(std::size_t index, Task fn, const char* name) {
-  sched_detail::Worker& w = *workers_[index];
+inline void TaskScheduler::enqueue(const std::shared_ptr<sched_detail::PeriodicState>& state,
+                                   std::uint64_t gen) {
+  sched_detail::Worker& w = *workers_[state->home];
   {
     sync::LockGuard lock(w.mu);
-    w.local.push_back(sched_detail::QueuedTask{std::move(fn), name, scheduler_now()});
+    w.lane.push_back(sched_detail::Run{state, gen, scheduler_now()});
   }
+  stats_.submitted.fetch_add(1, std::memory_order_relaxed);
   stats_.on_enqueue(ready_count_.fetch_add(1, std::memory_order_relaxed) + 1);
   if (!options_.manual) w.cv.notify_one();
-}
-
-inline void TaskScheduler::enqueue_pinned(std::size_t index, Task fn, const char* name) {
-  sched_detail::Worker& w = *workers_[index];
-  {
-    sync::LockGuard lock(w.mu);
-    w.pinned.push_back(sched_detail::QueuedTask{std::move(fn), name, scheduler_now()});
-  }
-  stats_.on_enqueue(ready_count_.fetch_add(1, std::memory_order_relaxed) + 1);
-  if (!options_.manual) w.cv.notify_one();
-}
-
-inline void TaskScheduler::submit(Task fn) {
-  stats_.submitted.fetch_add(1, std::memory_order_relaxed);
-  if (stopped_.load(std::memory_order_acquire)) {
-    // The pool is gone; run inline so no work is silently dropped.
-    run_task(fn);
-    return;
-  }
-  std::size_t index;
-  if (!options_.manual && sched_detail::tls_scheduler == this) {
-    index = sched_detail::tls_worker_index;  // LIFO locality: stay cache-warm
-  } else {
-    index = static_cast<std::size_t>(rr_next_.fetch_add(1, std::memory_order_relaxed)) %
-            workers_.size();
-  }
-  enqueue_local(index, std::move(fn), "sched.submit");
-}
-
-inline void TaskScheduler::submit(Task fn, std::uint64_t affinity_key) {
-  stats_.submitted.fetch_add(1, std::memory_order_relaxed);
-  stats_.pinned.fetch_add(1, std::memory_order_relaxed);
-  if (stopped_.load(std::memory_order_acquire)) {
-    run_task(fn);
-    return;
-  }
-  enqueue_pinned(static_cast<std::size_t>(affinity_key % workers_.size()), std::move(fn),
-                 "sched.pinned");
-}
-
-inline void TaskScheduler::submit_after(util::TimeNs delay, Task fn) {
-  stats_.submitted.fetch_add(1, std::memory_order_relaxed);
-  stats_.delayed.fetch_add(1, std::memory_order_relaxed);
-  if (stopping_.load(std::memory_order_acquire)) return;  // undue timers are dropped
-  if (delay < 0) delay = 0;
-  schedule_timer(scheduler_now() + delay, std::move(fn), /*pinned=*/false, 0,
-                 "sched.delayed");
 }
 
 inline PeriodicTaskHandle TaskScheduler::submit_periodic(std::string name,
@@ -480,17 +383,14 @@ inline PeriodicTaskHandle TaskScheduler::submit_periodic(std::string name,
   if (interval < 1) interval = 1;
   auto state = std::make_shared<sched_detail::PeriodicState>(this, std::move(name), interval,
                                                              std::move(fn));
+  state->home = static_cast<std::size_t>(reinterpret_cast<std::uintptr_t>(state.get()) %
+                                         workers_.size());
   if (!stopping_.load(std::memory_order_acquire)) {
     // Manual mode arms for "now": the first advance runs it, mirroring the
     // last_run=0 semantics of the step-driven loops this API replaces.
     const util::TimeNs first_due =
         options_.manual ? scheduler_now() : scheduler_now() + interval;
-    stats_.delayed.fetch_add(1, std::memory_order_relaxed);
-    std::shared_ptr<sched_detail::PeriodicState> self = state;
-    const std::uint64_t gen = state->gen.load(std::memory_order_relaxed);
-    schedule_timer(
-        first_due, [this, self, gen] { run_periodic(self, gen); }, /*pinned=*/true,
-        reinterpret_cast<std::uintptr_t>(state.get()), state->name.c_str());
+    schedule_timer(first_due, state, state->gen.load(std::memory_order_relaxed));
   }
   return PeriodicTaskHandle(std::move(state));
 }
@@ -498,23 +398,19 @@ inline PeriodicTaskHandle TaskScheduler::submit_periodic(std::string name,
 inline void TaskScheduler::trigger_periodic(
     const std::shared_ptr<sched_detail::PeriodicState>& state) {
   if (stopping_.load(std::memory_order_acquire)) return;
+  // A triggered run that has not started yet still runs after this call.
+  // Queueing another would supersede it, and a steady trigger storm would
+  // then keep every queued run stale and starve the task.
+  if (state->trigger_queued.exchange(true, std::memory_order_acq_rel)) return;
   // Invalidate the pending heap entry; the triggered run re-arms the cadence
   // from its own completion.
-  const std::uint64_t gen = state->gen.fetch_add(1, std::memory_order_acq_rel) + 1;
-  std::shared_ptr<sched_detail::PeriodicState> self = state;
-  stats_.submitted.fetch_add(1, std::memory_order_relaxed);
-  stats_.pinned.fetch_add(1, std::memory_order_relaxed);
-  // Bypass submit(fn, key) so the queued run keeps the periodic task's name
-  // (the closure's shared_ptr keeps the name's storage alive while queued).
-  enqueue_pinned(
-      static_cast<std::size_t>(reinterpret_cast<std::uintptr_t>(state.get()) %
-                               workers_.size()),
-      [this, self, gen] { run_periodic(self, gen); }, state->name.c_str());
+  enqueue(state, state->gen.fetch_add(1, std::memory_order_acq_rel) + 1);
 }
 
 inline void TaskScheduler::run_periodic(
     const std::shared_ptr<sched_detail::PeriodicState>& state, std::uint64_t gen) {
   if (state->gen.load(std::memory_order_acquire) != gen) return;  // superseded
+  state->trigger_queued.store(false, std::memory_order_release);  // triggers queue anew
   {
     sync::LockGuard lock(state->mu);
     if (state->cancelled.load(std::memory_order_relaxed)) return;
@@ -536,19 +432,16 @@ inline void TaskScheduler::run_periodic(
   if (state->gen.load(std::memory_order_acquire) != gen) return;  // trigger() raced us
   // Fixed delay: next due counts from this run's completion (or, in manual
   // mode, from the advance that ran it — one run per overdue advance).
-  stats_.delayed.fetch_add(1, std::memory_order_relaxed);
-  std::shared_ptr<sched_detail::PeriodicState> self = state;
-  schedule_timer(
-      scheduler_now() + state->interval, [this, self, gen] { run_periodic(self, gen); },
-      /*pinned=*/true, reinterpret_cast<std::uintptr_t>(state.get()), state->name.c_str());
+  schedule_timer(scheduler_now() + state->interval, state, gen);
 }
 
-inline void TaskScheduler::schedule_timer(util::TimeNs due, Task fn, bool pinned,
-                                          std::uint64_t key, const char* name) {
+inline void TaskScheduler::schedule_timer(
+    util::TimeNs due, const std::shared_ptr<sched_detail::PeriodicState>& state,
+    std::uint64_t gen) {
+  stats_.delayed.fetch_add(1, std::memory_order_relaxed);
   {
     sync::LockGuard lock(timers_->mu);
-    timers_->heap.push_back(sched_detail::TimerEntry{due, timers_->next_order++,
-                                                     std::move(fn), pinned, key, name});
+    timers_->heap.push_back(sched_detail::TimerEntry{due, timers_->next_order++, state, gen});
     std::push_heap(timers_->heap.begin(), timers_->heap.end(), sched_detail::timer_later);
   }
   timer_version_.fetch_add(1, std::memory_order_release);
@@ -565,20 +458,7 @@ inline std::size_t TaskScheduler::promote_due_timers(util::TimeNs now) {
       timers_->heap.pop_back();
     }
   }
-  for (sched_detail::TimerEntry& e : due) {
-    if (e.pinned) {
-      stats_.pinned.fetch_add(1, std::memory_order_relaxed);
-      enqueue_pinned(static_cast<std::size_t>(e.key % workers_.size()), std::move(e.fn),
-                     e.name);
-    } else if (!options_.manual && sched_detail::tls_scheduler == this) {
-      enqueue_local(sched_detail::tls_worker_index, std::move(e.fn), e.name);
-    } else {
-      enqueue_local(static_cast<std::size_t>(
-                        rr_next_.fetch_add(1, std::memory_order_relaxed)) %
-                        workers_.size(),
-                    std::move(e.fn), e.name);
-    }
-  }
+  for (const sched_detail::TimerEntry& e : due) enqueue(e.state, e.gen);
   return due.size();
 }
 
@@ -597,76 +477,33 @@ inline void TaskScheduler::notify_all_workers() {
   }
 }
 
-inline bool TaskScheduler::steal_into(std::size_t thief) {
-  const std::size_t n = workers_.size();
-  if (n <= 1) return false;
-  for (std::size_t off = 1; off < n; ++off) {
-    const std::size_t victim = (thief + off) % n;
-    stats_.steal_attempts.fetch_add(1, std::memory_order_relaxed);
-    std::vector<sched_detail::QueuedTask> loot;
-    {
-      sched_detail::Worker& v = *workers_[victim];
-      sync::LockGuard lock(v.mu);
-      const std::size_t take = (v.local.size() + 1) / 2;
-      loot.reserve(take);
-      for (std::size_t i = 0; i < take; ++i) {
-        loot.push_back(std::move(v.local.front()));
-        v.local.pop_front();
-      }
-    }
-    if (loot.empty()) continue;
-    stats_.stolen.fetch_add(loot.size(), std::memory_order_relaxed);
-    if (loot.size() > 1) {
-      sched_detail::Worker& w = *workers_[thief];
-      sync::LockGuard lock(w.mu);
-      for (std::size_t i = 1; i < loot.size(); ++i) {
-        w.local.push_back(std::move(loot[i]));
-      }
-    }
-    ready_count_.fetch_sub(1, std::memory_order_relaxed);
-    stats_.depth.store(ready_count_.load(std::memory_order_relaxed),
-                       std::memory_order_relaxed);
-    runtime::BusyScope scope(workers_[thief]->loop);
-    run_queued(loot.front());
-    return true;
+inline bool TaskScheduler::pop(sched_detail::Worker& w, sched_detail::Run& out) {
+  {
+    sync::LockGuard lock(w.mu);
+    if (w.lane.empty()) return false;
+    out = std::move(w.lane.front());
+    w.lane.pop_front();
   }
-  return false;
+  ready_count_.fetch_sub(1, std::memory_order_relaxed);
+  stats_.depth.store(ready_count_.load(std::memory_order_relaxed), std::memory_order_relaxed);
+  return true;
 }
 
 inline void TaskScheduler::worker_loop(std::size_t index) {
-  sched_detail::tls_scheduler = this;
-  sched_detail::tls_worker_index = index;
   sched_detail::Worker& w = *workers_[index];
   for (;;) {
-    sched_detail::QueuedTask task;
-    bool have = false;
-    {
-      sync::LockGuard lock(w.mu);
-      if (!w.pinned.empty()) {
-        task = std::move(w.pinned.front());
-        w.pinned.pop_front();
-        have = true;
-      } else if (!w.local.empty()) {
-        task = std::move(w.local.back());  // LIFO: newest, cache-warm
-        w.local.pop_back();
-        have = true;
-      }
-    }
-    if (have) {
-      ready_count_.fetch_sub(1, std::memory_order_relaxed);
-      stats_.depth.store(ready_count_.load(std::memory_order_relaxed),
-                         std::memory_order_relaxed);
+    sched_detail::Run run;
+    if (pop(w, run)) {
       runtime::BusyScope scope(w.loop);
-      run_queued(task);
+      run_queued(run);
       continue;
     }
     const std::uint64_t tv = timer_version_.load(std::memory_order_acquire);
     if (promote_due_timers(scheduler_now()) > 0) continue;
-    if (steal_into(index)) continue;
-    if (stopping_.load(std::memory_order_acquire)) break;  // nothing anywhere: drained
+    if (stopping_.load(std::memory_order_acquire)) break;  // own lane drained
     const util::TimeNs due = next_timer_due();
     sync::UniqueLock lock(w.mu);
-    if (!w.pinned.empty() || !w.local.empty()) continue;
+    if (!w.lane.empty()) continue;
     if (stopping_.load(std::memory_order_acquire)) break;
     if (timer_version_.load(std::memory_order_acquire) != tv) continue;
     util::TimeNs wait_ns = sched_detail::kMaxIdleWaitNs;
@@ -677,7 +514,6 @@ inline void TaskScheduler::worker_loop(std::size_t index) {
     }
     w.cv.wait_for(lock, std::chrono::nanoseconds(wait_ns));
   }
-  sched_detail::tls_scheduler = nullptr;
 }
 
 inline std::size_t TaskScheduler::drain_queues() {
@@ -685,31 +521,11 @@ inline std::size_t TaskScheduler::drain_queues() {
   bool found = true;
   while (found) {
     found = false;
-    for (auto& wp : workers_) {
-      sched_detail::Worker& w = *wp;
-      for (;;) {
-        sched_detail::QueuedTask task;
-        bool have = false;
-        {
-          sync::LockGuard lock(w.mu);
-          if (!w.pinned.empty()) {
-            task = std::move(w.pinned.front());
-            w.pinned.pop_front();
-            have = true;
-          } else if (!w.local.empty()) {
-            // FIFO here (unlike the worker's LIFO): manual mode and the
-            // shutdown sweep run tasks in submission order, deterministically.
-            task = std::move(w.local.front());
-            w.local.pop_front();
-            have = true;
-          }
-        }
-        if (!have) break;
+    for (auto& w : workers_) {
+      sched_detail::Run run;
+      while (pop(*w, run)) {
         found = true;
-        ready_count_.fetch_sub(1, std::memory_order_relaxed);
-        stats_.depth.store(ready_count_.load(std::memory_order_relaxed),
-                           std::memory_order_relaxed);
-        run_queued(task);
+        run_queued(run);
         ++ran;
       }
     }
@@ -747,10 +563,10 @@ inline void TaskScheduler::stop() {
     sync::LockGuard lock(timers_->mu);
     timers_->heap.clear();  // undue timers are dropped, not run early
   }
-  // Final single-threaded sweep: anything still queued (e.g. pushed while
-  // the workers were exiting) runs here so shutdown never loses work.
+  // Final single-threaded sweep: anything still queued (e.g. promoted onto
+  // a lane whose worker had already exited) runs here so shutdown never
+  // loses a queued run.
   drain_queues();
-  stopped_.store(true, std::memory_order_release);
 }
 
 }  // namespace lms::core

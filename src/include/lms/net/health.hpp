@@ -84,9 +84,8 @@ HttpResponse debug_logs_response(const util::LogRing& ring, const HttpRequest& r
 ///    "queues":[{"queue","capacity","depth","high_watermark","pushes",
 ///               "pops","blocked_pushes","rejected_pushes"},...],
 ///    "loops":[{"loop","iterations","busy_ns","idle_ns","duty_pct"},...],
-///    "scheds":[{"scheduler","workers","submitted","executed","stolen",
-///               "steal_attempts","pinned","delayed","periodic_runs",
-///               "queue_depth","queue_high_watermark"},...],
+///    "scheds":[{"scheduler","workers","submitted","executed","delayed",
+///               "periodic_runs","queue_depth","queue_high_watermark"},...],
 ///    "queue_delays":[{"task","count","delay_ns_total","delay_ns_max",
 ///                     "delay_ns_avg","delay_p50_ns","delay_p99_ns"},...],
 ///    "profiler":{"running","timer","hz","samples_captured",

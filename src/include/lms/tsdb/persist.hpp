@@ -21,7 +21,8 @@
 
 namespace lms::tsdb {
 
-/// Write all databases to `path`. Atomic: writes "<path>.tmp" then renames.
+/// Write all databases to `path`. Atomic and durable: writes "<path>.tmp",
+/// fsyncs it, renames it over `path`, then fsyncs the directory.
 util::Status save_snapshot(Storage& storage, const std::string& path);
 
 /// Load a snapshot into the storage (merged into existing data). Returns

@@ -184,9 +184,6 @@ HttpResponse runtime_debug_response() {
     o["workers"] = static_cast<std::int64_t>(s.workers);
     o["submitted"] = static_cast<std::int64_t>(s.submitted);
     o["executed"] = static_cast<std::int64_t>(s.executed);
-    o["stolen"] = static_cast<std::int64_t>(s.stolen);
-    o["steal_attempts"] = static_cast<std::int64_t>(s.steal_attempts);
-    o["pinned"] = static_cast<std::int64_t>(s.pinned);
     o["delayed"] = static_cast<std::int64_t>(s.delayed);
     o["periodic_runs"] = static_cast<std::int64_t>(s.periodic_runs);
     o["queue_depth"] = static_cast<std::int64_t>(s.depth);

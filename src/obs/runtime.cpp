@@ -145,10 +145,6 @@ void update_sched_metrics(Registry& registry) {
     registry.gauge("lms_runtime_sched_workers", labels).set(d(s.workers));
     registry.gauge("lms_runtime_sched_submitted_total", labels).set(d(s.submitted));
     registry.gauge("lms_runtime_sched_executed_total", labels).set(d(s.executed));
-    registry.gauge("lms_runtime_sched_stolen_total", labels).set(d(s.stolen));
-    registry.gauge("lms_runtime_sched_steal_attempts_total", labels)
-        .set(d(s.steal_attempts));
-    registry.gauge("lms_runtime_sched_pinned_total", labels).set(d(s.pinned));
     registry.gauge("lms_runtime_sched_delayed_total", labels).set(d(s.delayed));
     registry.gauge("lms_runtime_sched_periodic_runs_total", labels).set(d(s.periodic_runs));
     registry.gauge("lms_runtime_sched_queue_depth", labels).set(d(s.depth));

@@ -1,5 +1,8 @@
 #include "lms/tsdb/persist.hpp"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -9,6 +12,19 @@
 #include "lms/util/strings.hpp"
 
 namespace lms::tsdb {
+
+namespace {
+
+/// fsync a file or directory by path. False when it cannot be opened or the
+/// kernel reports a write-back error.
+bool fsync_path(const std::string& path, int flags) {
+  const int fd = ::open(path.c_str(), flags | O_CLOEXEC);
+  if (fd < 0) return false;
+  const bool synced = ::fsync(fd) == 0;
+  return ::close(fd) == 0 && synced;
+}
+
+}  // namespace
 
 std::string dump_database(const Database& db) {
   std::string out;
@@ -52,10 +68,20 @@ util::Status save_snapshot(Storage& storage, const std::string& path) {
       file << "# database: " << name << "\n";
       file << dump_database(*snap);
     }
-    if (!file.good()) return util::Status::error("write to '" + tmp + "' failed");
+    file.close();
+    if (!file) return util::Status::error("write to '" + tmp + "' failed");
   }
+  // Durable replace: the data reaches the disk before the rename can, and
+  // the rename itself is made durable through the directory.
+  if (!fsync_path(tmp, O_RDONLY)) return util::Status::error("fsync of '" + tmp + "' failed");
   if (std::rename(tmp.c_str(), path.c_str()) != 0) {
     return util::Status::error("rename to '" + path + "' failed");
+  }
+  const std::size_t slash = path.find_last_of('/');
+  const std::string dir =
+      slash == std::string::npos ? "." : (slash == 0 ? "/" : path.substr(0, slash));
+  if (!fsync_path(dir, O_RDONLY | O_DIRECTORY)) {
+    return util::Status::error("fsync of directory '" + dir + "' failed");
   }
   return {};
 }

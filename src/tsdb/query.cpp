@@ -46,7 +46,10 @@ util::Result<TimeNs> parse_duration(std::string_view text) {
     } else {
       return util::Result<TimeNs>::error("bad duration unit '" + std::string(unit) + "'");
     }
-    total += *num * mult;
+    TimeNs part = 0;
+    if (__builtin_mul_overflow(*num, mult, &part) || __builtin_add_overflow(total, part, &total)) {
+      return util::Result<TimeNs>::error("duration '" + std::string(text) + "' out of range");
+    }
     i = k;
   }
   return total;
@@ -267,14 +270,18 @@ Result<TimeNs> parse_time_operand(Lexer& lex, TimeNs now) {
         }
         auto d = parse_duration(lex.next().text);
         if (!d.ok()) return d;
-        t -= *d;
+        if (__builtin_sub_overflow(t, *d, &t)) {
+          return Result<TimeNs>::error("now() - duration out of range");
+        }
       } else if (lex.accept_punct("+")) {
         if (lex.peek().kind != TokKind::kNumber) {
           return Result<TimeNs>::error("expected duration after now() +");
         }
         auto d = parse_duration(lex.next().text);
         if (!d.ok()) return d;
-        t += *d;
+        if (__builtin_add_overflow(t, *d, &t)) {
+          return Result<TimeNs>::error("now() + duration out of range");
+        }
       } else {
         break;
       }
@@ -587,6 +594,14 @@ struct StatsCollector {
   std::set<std::size_t> shards;
 };
 
+/// Division rounding toward negative infinity, so a negative timestamp
+/// falls into the window that starts at or before it (InfluxDB's rule),
+/// not into the window at 0.
+TimeNs floor_div(TimeNs a, TimeNs b) {
+  const TimeNs q = a / b;
+  return (a % b != 0 && (a < 0) != (b < 0)) ? q - 1 : q;
+}
+
 std::vector<double> numeric_values(const std::vector<Sample>& samples) {
   std::vector<double> out;
   out.reserve(samples.size());
@@ -670,7 +685,7 @@ ColumnSeries evaluate_expr(const FieldExpr& fe, std::vector<Sample> samples,
       const TimeNs dur = *sel.group_by_time;
       std::map<TimeNs, std::vector<Sample>> windows;
       for (const auto& s : samples) {
-        windows[(s.t / dur) * dur].push_back(s);
+        windows[floor_div(s.t, dur) * dur].push_back(s);
       }
       for (const auto& [start, ws] : windows) {
         if (auto v = apply_aggregator(Aggregator::kMean, 0, ws)) {
@@ -702,7 +717,7 @@ ColumnSeries evaluate_expr(const FieldExpr& fe, std::vector<Sample> samples,
     const TimeNs dur = *sel.group_by_time;
     std::map<TimeNs, std::vector<Sample>> windows;
     for (const auto& s : samples) {
-      windows[(s.t / dur) * dur].push_back(s);
+      windows[floor_div(s.t, dur) * dur].push_back(s);
     }
     for (const auto& [start, ws] : windows) {
       if (auto v = apply_aggregator(fe.agg, fe.param, ws)) out[start] = *v;
@@ -730,8 +745,9 @@ ResultSeries build_result_series(const SelectStatement& sel, const std::string& 
   std::vector<TimeNs> row_times;
   if (sel.group_by_time && sel.fill != FillMode::kNone && sel.time_min && sel.time_max) {
     const TimeNs dur = *sel.group_by_time;
-    for (TimeNs t = (*sel.time_min / dur) * dur; t < *sel.time_max; t += dur) {
+    for (TimeNs t = floor_div(*sel.time_min, dur) * dur; t < *sel.time_max;) {
       row_times.push_back(t);
+      if (__builtin_add_overflow(t, dur, &t)) break;
     }
   } else {
     std::set<TimeNs> keys;

@@ -108,10 +108,9 @@ std::size_t series_hash(std::string_view measurement, const std::vector<Tag>& ta
 
 }  // namespace
 
-Database::Database(std::string name, std::size_t shard_count) : name_(std::move(name)) {
-  if (shard_count == 0) shard_count = 1;
-  shards_.reserve(shard_count);
-  for (std::size_t i = 0; i < shard_count; ++i) {
+Database::Database(std::string name) : name_(std::move(name)) {
+  shards_.reserve(kDefaultShards);
+  for (std::size_t i = 0; i < kDefaultShards; ++i) {
     shards_.push_back(std::make_unique<Shard>(i));
   }
 }
@@ -153,112 +152,23 @@ void Database::write(const Point& point, TimeNs default_time) {
   write_into(shard, point, t);
 }
 
-void Database::apply_group(Shard& shard, const StagedGroup& group) const {
-  for (const Point* p : *group.bucket) {
-    const TimeNs t =
-        p->timestamp != 0 ? p->timestamp * group.timestamp_scale : group.default_time;
-    write_into(shard, *p, t);
-  }
-}
-
-void Database::drain_stage(Shard& shard) {
-  for (;;) {
-    std::vector<StagedGroup*> groups;
-    {
-      const core::sync::LockGuard lock(shard.stage_mu);
-      if (shard.staged.empty()) {
-        shard.drain_pending = false;
-        return;
-      }
-      groups.swap(shard.staged);
-    }
-    {
-      // The one blocking stripe acquisition on this path: every group staged
-      // while the stripe was busy lands under it together.
-      const core::sync::WriteLockGuard lock(shard.mu);
-      for (const StagedGroup* g : groups) apply_group(shard, *g);
-    }
-    {
-      const core::sync::LockGuard lock(shard.stage_mu);
-      for (StagedGroup* g : groups) g->done = true;
-    }
-    shard.stage_cv.notify_all();
-  }
-}
-
 void Database::write_batch(const std::vector<Point>& points, TimeNs default_time,
                            TimeNs timestamp_scale) {
   if (points.empty()) return;
   if (timestamp_scale <= 0) timestamp_scale = 1;
-  if (shards_.size() == 1) {
-    Shard& shard = *shards_[0];
-    const core::sync::WriteLockGuard lock(shard.mu);
-    for (const auto& p : points) {
-      const TimeNs t = p.timestamp != 0 ? p.timestamp * timestamp_scale : default_time;
-      write_into(shard, p, t);
-    }
-    return;
-  }
   // Bucket per stripe so each stripe mutex is taken exactly once per batch.
   std::vector<std::vector<const Point*>> buckets(shards_.size());
   for (const auto& p : points) {
     buckets[shard_of(p)].push_back(&p);
   }
-  // Offload is off without a scheduler, and a scheduler worker always writes
-  // inline: a worker blocking on a drain pinned to its own lane would
-  // deadlock, and the flusher task already owns its batch end to end.
-  core::TaskScheduler* sched = sched_.load(std::memory_order_acquire);
-  if (sched != nullptr &&
-      (sched->manual() || sched->stopped() || core::TaskScheduler::on_worker_thread())) {
-    sched = nullptr;
-  }
-  std::vector<StagedGroup> staged;
-  std::vector<Shard*> staged_shards;
-  if (sched != nullptr) {
-    staged.reserve(buckets.size());  // stable addresses: drains hold pointers
-    staged_shards.reserve(buckets.size());
-  }
   for (std::size_t i = 0; i < buckets.size(); ++i) {
     if (buckets[i].empty()) continue;
     Shard& shard = *shards_[i];
-    if (sched == nullptr) {
-      const core::sync::WriteLockGuard lock(shard.mu);
-      for (const Point* p : buckets[i]) {
-        const TimeNs t = p->timestamp != 0 ? p->timestamp * timestamp_scale : default_time;
-        write_into(shard, *p, t);
-      }
-      continue;
+    const core::sync::WriteLockGuard lock(shard.mu);
+    for (const Point* p : buckets[i]) {
+      const TimeNs t = p->timestamp != 0 ? p->timestamp * timestamp_scale : default_time;
+      write_into(shard, *p, t);
     }
-    StagedGroup group{&buckets[i], default_time, timestamp_scale, false};
-    if (shard.mu.try_lock()) {
-      // Uncontended stripe: apply inline, no convoy to join.
-      apply_group(shard, group);
-      shard.mu.unlock();
-      continue;
-    }
-    // Contended: park the group and let the stripe's drain task batch it
-    // with everyone else's instead of piling onto the stripe mutex.
-    staged.push_back(group);
-    staged_shards.push_back(&shard);
-    bool schedule = false;
-    {
-      const core::sync::LockGuard lock(shard.stage_mu);
-      shard.staged.push_back(&staged.back());
-      if (!shard.drain_pending) {
-        shard.drain_pending = true;
-        schedule = true;
-      }
-    }
-    if (schedule) {
-      sched->submit([this, &shard] { drain_stage(shard); },
-                    static_cast<std::uint64_t>(i));
-    }
-  }
-  // Wait for every staged group: write_batch keeps read-your-writes.
-  for (std::size_t i = 0; i < staged.size(); ++i) {
-    Shard& shard = *staged_shards[i];
-    core::sync::UniqueLock lock(shard.stage_mu);
-    while (!staged[i].done) shard.stage_cv.wait(lock);
   }
 }
 
@@ -435,16 +345,9 @@ Database& Storage::get_or_create(const std::string& name) {
   const core::sync::WriteLockGuard lock(mu_);
   auto it = dbs_.find(name);
   if (it == dbs_.end()) {
-    it = dbs_.emplace(name, std::make_unique<Database>(name, shards_per_db_)).first;
-    it->second->set_scheduler(sched_);
+    it = dbs_.emplace(name, std::make_unique<Database>(name)).first;
   }
   return *it->second;
-}
-
-void Storage::set_scheduler(core::TaskScheduler* sched) {
-  const core::sync::WriteLockGuard lock(mu_);
-  sched_ = sched;
-  for (const auto& [_, db] : dbs_) db->set_scheduler(sched);
 }
 
 Database& Storage::database(const std::string& name) { return get_or_create(name); }

@@ -1,8 +1,7 @@
-// Tests for lms::core::TaskScheduler — the work-stealing runtime every
-// background loop in the stack now runs on. Covers steal correctness under
-// load, delayed-task ordering, periodic fixed-delay semantics (threaded and
-// manual/deterministic), affinity serialization, shutdown drain, and the
-// runtime-stats surface.
+// Tests for lms::core::TaskScheduler — the periodic-task runtime every
+// background loop in the stack runs on. Covers fixed-delay semantics
+// (threaded and manual/deterministic), trigger/cancel, runs of one task
+// never overlapping, shutdown drain, and the runtime-stats surface.
 
 #include <gtest/gtest.h>
 
@@ -15,7 +14,6 @@
 #include "lms/core/runnable.hpp"
 #include "lms/core/runtime.hpp"
 #include "lms/core/taskscheduler.hpp"
-#include "lms/tsdb/storage.hpp"
 #include "lms/util/clock.hpp"
 
 namespace {
@@ -32,88 +30,6 @@ void spin_until(const std::function<bool()>& cond,
   while (!cond() && std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-}
-
-TEST(TaskScheduler, ExecutesSubmittedTasks) {
-  TaskScheduler::Options opts;
-  opts.workers = 2;
-  TaskScheduler sched(opts);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) {
-    sched.submit([&count] { count.fetch_add(1); });
-  }
-  spin_until([&] { return count.load() == 100; });
-  EXPECT_EQ(count.load(), 100);
-  EXPECT_EQ(sched.worker_count(), 2u);
-  EXPECT_GE(sched.stats().executed.load(), 100u);
-}
-
-TEST(TaskScheduler, StealsFromBlockedWorkerUnderLoad) {
-  TaskScheduler::Options opts;
-  opts.workers = 2;
-  TaskScheduler sched(opts);
-
-  // Park worker 0 (affinity key 0) so everything round-robined onto its
-  // stealable lane can only complete if worker 1 steals it.
-  std::atomic<bool> release{false};
-  std::atomic<bool> parked{false};
-  sched.submit(
-      [&] {
-        parked.store(true);
-        while (!release.load()) std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      },
-      /*affinity_key=*/0);
-  spin_until([&] { return parked.load(); });
-
-  std::atomic<int> count{0};
-  constexpr int kTasks = 200;
-  for (int i = 0; i < kTasks; ++i) {
-    sched.submit([&count] { count.fetch_add(1); });
-  }
-  spin_until([&] { return count.load() == kTasks; });
-  EXPECT_EQ(count.load(), kTasks);
-  EXPECT_GT(sched.stats().stolen.load(), 0u);
-  release.store(true);
-  sched.stop();
-}
-
-TEST(TaskScheduler, DelayedTasksFireInDueOrderManual) {
-  TaskScheduler::Options opts;
-  opts.workers = 1;
-  opts.manual = true;
-  TaskScheduler sched(opts);
-  std::vector<std::string> order;
-  sched.submit_after(30, [&order] { order.push_back("a"); });
-  sched.submit_after(10, [&order] { order.push_back("b"); });
-  sched.submit_after(20, [&order] { order.push_back("c"); });
-
-  EXPECT_EQ(sched.advance_to(5), 0u);
-  EXPECT_TRUE(order.empty());
-  EXPECT_EQ(sched.advance_to(15), 1u);
-  ASSERT_EQ(order.size(), 1u);
-  EXPECT_EQ(order[0], "b");
-  EXPECT_EQ(sched.advance_to(100), 2u);
-  ASSERT_EQ(order.size(), 3u);
-  EXPECT_EQ(order[1], "c");
-  EXPECT_EQ(order[2], "a");
-}
-
-TEST(TaskScheduler, DelayedTaskNotEarlyThreaded) {
-  TaskScheduler::Options opts;
-  opts.workers = 1;
-  TaskScheduler sched(opts);
-  const auto start = std::chrono::steady_clock::now();
-  std::atomic<bool> ran{false};
-  std::atomic<std::int64_t> elapsed_ms{0};
-  sched.submit_after(50 * kMs, [&] {
-    elapsed_ms.store(std::chrono::duration_cast<std::chrono::milliseconds>(
-                         std::chrono::steady_clock::now() - start)
-                         .count());
-    ran.store(true);
-  });
-  spin_until([&] { return ran.load(); });
-  ASSERT_TRUE(ran.load());
-  EXPECT_GE(elapsed_ms.load(), 50);
 }
 
 TEST(TaskScheduler, PeriodicFixedDelayKeepsMinimumGap) {
@@ -191,31 +107,46 @@ TEST(TaskScheduler, PeriodicAggregatesIntoOneLoopStatsRow) {
   EXPECT_EQ(runs.load(), after);
 }
 
-TEST(TaskScheduler, AffinityTasksNeverRunConcurrentlyForSameKey) {
+TEST(TaskScheduler, TriggerStormNeverOverlapsRunsOfOneTask) {
+  // Four workers and four threads hammering trigger(): every run of the
+  // task still executes on its home worker's FIFO lane, one at a time, and
+  // the triggers coalesce instead of starving the task.
   TaskScheduler::Options opts;
   opts.workers = 4;
   TaskScheduler sched(opts);
-  constexpr int kKeys = 4;
-  constexpr int kPerKey = 100;
-  std::atomic<int> in_flight[kKeys] = {};
+  std::atomic<int> in_flight{0};
   std::atomic<int> violations{0};
-  std::atomic<int> done{0};
-  for (int i = 0; i < kPerKey; ++i) {
-    for (std::uint64_t key = 0; key < kKeys; ++key) {
-      sched.submit(
-          [&, key] {
-            if (in_flight[key].fetch_add(1) != 0) violations.fetch_add(1);
-            std::this_thread::yield();
-            in_flight[key].fetch_sub(1);
-            done.fetch_add(1);
-          },
-          key);
-    }
+  std::atomic<int> runs{0};
+  PeriodicTaskHandle handle =
+      sched.submit_periodic("test.periodic.storm", 1 * lms::util::kNanosPerSecond, [&] {
+        if (in_flight.fetch_add(1) != 0) violations.fetch_add(1);
+        std::this_thread::sleep_for(std::chrono::microseconds(50));
+        in_flight.fetch_sub(1);
+        runs.fetch_add(1);
+      });
+  // Keep triggering until many runs have happened, so later triggers land
+  // while earlier runs are still executing or queued.
+  constexpr int kTriggerers = 4;
+  constexpr int kRuns = 50;
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  std::vector<std::thread> triggerers;
+  triggerers.reserve(kTriggerers);
+  for (int t = 0; t < kTriggerers; ++t) {
+    triggerers.emplace_back([&] {
+      while (runs.load() < kRuns && std::chrono::steady_clock::now() < deadline) {
+        handle.trigger();
+        std::this_thread::yield();
+      }
+    });
   }
-  spin_until([&] { return done.load() == kKeys * kPerKey; }, std::chrono::seconds(30));
-  EXPECT_EQ(done.load(), kKeys * kPerKey);
+  for (auto& t : triggerers) t.join();
+  spin_until([&] { return sched.stats().depth.load() == 0; });
+  handle.cancel();
+  EXPECT_GE(runs.load(), kRuns);
   EXPECT_EQ(violations.load(), 0);
-  EXPECT_GE(sched.stats().pinned.load(), static_cast<std::uint64_t>(kKeys * kPerKey));
+  // At most one triggered run waits at a time (plus a stale timer run or a
+  // run queued in the hand-over race), however many triggers arrived.
+  EXPECT_LE(sched.stats().high_watermark.load(), 3u);
 }
 
 TEST(TaskScheduler, StopDrainsReadyAndDropsUndueTimers) {
@@ -223,34 +154,41 @@ TEST(TaskScheduler, StopDrainsReadyAndDropsUndueTimers) {
   opts.workers = 1;
   TaskScheduler sched(opts);
 
-  // Park the single worker so submissions pile up, then stop(): every ready
-  // task must still run (drain), the far-future timer must not.
+  // Park the single worker inside one task's run, queue a triggered run of
+  // a second task behind it, then stop(): the queued run must still
+  // execute (drain), and a third task whose timer is not yet due must not.
   std::atomic<bool> release{false};
   std::atomic<bool> parked{false};
-  sched.submit([&] {
+  PeriodicTaskHandle blocker = sched.submit_periodic("test.stop.blocker", 1 * kMs, [&] {
     parked.store(true);
     while (!release.load()) std::this_thread::sleep_for(std::chrono::milliseconds(1));
   });
   spin_until([&] { return parked.load(); });
 
   std::atomic<int> count{0};
-  for (int i = 0; i < 50; ++i) {
-    sched.submit([&count] { count.fetch_add(1); });
-    sched.submit([&count] { count.fetch_add(1); }, /*affinity_key=*/i % 3);
-  }
-  std::atomic<bool> timer_ran{false};
-  sched.submit_after(10 * lms::util::kNanosPerSecond, [&timer_ran] { timer_ran.store(true); });
+  PeriodicTaskHandle queued = sched.submit_periodic(
+      "test.stop.queued", 10 * lms::util::kNanosPerSecond, [&count] { count.fetch_add(1); });
+  queued.trigger();  // queued behind the parked run
+  std::atomic<bool> undue_ran{false};
+  PeriodicTaskHandle undue = sched.submit_periodic(
+      "test.stop.undue", 10 * lms::util::kNanosPerSecond, [&undue_ran] { undue_ran.store(true); });
 
-  release.store(true);
+  std::thread releaser([&release] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    release.store(true);
+  });
   sched.stop();
-  EXPECT_TRUE(sched.stopped());
-  EXPECT_EQ(count.load(), 100);
-  EXPECT_FALSE(timer_ran.load());
+  releaser.join();
+  EXPECT_EQ(count.load(), 1);  // the triggered run ran; its 10 s re-arm did not
+  EXPECT_FALSE(undue_ran.load());
 
-  // Post-stop submissions run inline instead of being dropped.
-  bool inline_ran = false;
-  sched.submit([&inline_ran] { inline_ran = true; });
-  EXPECT_TRUE(inline_ran);
+  // After stop(), trigger() is a no-op and new tasks never run.
+  queued.trigger();
+  PeriodicTaskHandle late = sched.submit_periodic("test.stop.late", 1, [&count] {
+    count.fetch_add(1);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  EXPECT_EQ(count.load(), 1);
 }
 
 TEST(TaskScheduler, CancelWaitsForInFlightRun) {
@@ -276,15 +214,19 @@ TEST(TaskScheduler, SchedStatsSnapshotExported) {
   opts.name = "test.sched.stats";
   TaskScheduler sched(opts);
   std::atomic<int> count{0};
-  for (int i = 0; i < 32; ++i) sched.submit([&count] { count.fetch_add(1); });
-  spin_until([&] { return count.load() == 32; });
+  PeriodicTaskHandle handle =
+      sched.submit_periodic("test.sched.stats.task", 1 * kMs, [&count] { count.fetch_add(1); });
+  spin_until([&] { return count.load() >= 8; });
+  handle.cancel();
   bool found = false;
   for (const runtime::SchedSnapshot& s : runtime::sched_snapshot()) {
     if (s.name == "test.sched.stats") {
       found = true;
       EXPECT_EQ(s.workers, 2u);
-      EXPECT_GE(s.submitted, 32u);
-      EXPECT_GE(s.executed, 32u);
+      EXPECT_GE(s.submitted, 8u);
+      EXPECT_GE(s.executed, 8u);
+      EXPECT_GE(s.periodic_runs, 8u);
+      EXPECT_GE(s.delayed, s.periodic_runs);  // every run was armed by a timer
       EXPECT_GE(s.high_watermark, 1u);
     }
   }
@@ -334,104 +276,6 @@ TEST(Runnable, AttachDetachLifecycle) {
   comp.attach(sched);
   EXPECT_TRUE(comp.attached());
   comp.detach();
-}
-
-TEST(TaskScheduler, StorageOffloadPreservesEveryWrite) {
-  // Contended multi-writer ingest through the staged-write offload: every
-  // point must land exactly once, same as the plain blocking path, and
-  // writes issued from a scheduler worker (the flusher case) go inline.
-  TaskScheduler::Options opts;
-  opts.workers = 2;
-  opts.name = "test.sched.offload";
-  TaskScheduler sched(opts);
-  lms::tsdb::Storage storage;
-  storage.database("lms");
-  storage.set_scheduler(&sched);
-
-  constexpr int kWriters = 4;
-  constexpr int kBatches = 50;
-  constexpr int kBatch = 40;
-  std::vector<std::thread> writers;
-  writers.reserve(kWriters);
-  for (int w = 0; w < kWriters; ++w) {
-    writers.emplace_back([&storage, w] {
-      std::vector<lms::lineproto::Point> batch;
-      for (int b = 0; b < kBatches; ++b) {
-        batch.clear();
-        for (int i = 0; i < kBatch; ++i) {
-          lms::lineproto::Point p;
-          p.measurement = "cpu";
-          p.set_tag("hostname", "w" + std::to_string(w) + "h" + std::to_string(i % 16));
-          p.add_field("v", static_cast<double>(b * kBatch + i));
-          p.timestamp = 1 + b * kBatch + i;
-          p.normalize();
-          batch.push_back(std::move(p));
-        }
-        storage.write("lms", batch, 1);
-      }
-    });
-  }
-  for (auto& t : writers) t.join();
-
-  // A write from a worker thread takes the inline path (no self-deadlock).
-  std::atomic<bool> inner_done{false};
-  sched.submit([&storage, &inner_done] {
-    std::vector<lms::lineproto::Point> batch;
-    lms::lineproto::Point p;
-    p.measurement = "cpu";
-    p.set_tag("hostname", "worker");
-    p.add_field("v", 1.0);
-    p.timestamp = 7;
-    p.normalize();
-    batch.push_back(std::move(p));
-    storage.write("lms", batch, 1);
-    inner_done.store(true);
-  });
-  spin_until([&] { return inner_done.load(); });
-  ASSERT_TRUE(inner_done.load());
-
-  {
-    // Scoped: the snapshot holds every stripe shared, and set_scheduler
-    // takes the storage map lock, which ranks below the stripes.
-    const auto snap = storage.snapshot("lms");
-    ASSERT_TRUE(static_cast<bool>(snap));
-    EXPECT_EQ(snap->sample_count(),
-              static_cast<std::size_t>(kWriters) * kBatches * kBatch + 1);
-  }
-  storage.set_scheduler(nullptr);
-  sched.stop();
-}
-
-TEST(TaskScheduler, QueueDelayRecordedPerTaskName) {
-  // Manual mode makes the submit→run latency exact: the task is enqueued at
-  // manual-now 0 and runs when advance_to(5ms) drains the queues.
-  TaskScheduler::Options opts;
-  opts.workers = 1;
-  opts.manual = true;
-  TaskScheduler sched(opts);
-  std::string seen_name;
-  std::atomic<bool> ran{false};
-  sched.submit([&] {
-    const char* name = runtime::current_task_name();
-    seen_name = name != nullptr ? name : "";
-    ran = true;
-  });
-  sched.advance_to(5 * kMs);
-  ASSERT_TRUE(ran.load());
-  // The running task sees its own name; it clears again afterwards.
-  EXPECT_EQ(seen_name, "sched.submit");
-  EXPECT_EQ(runtime::current_task_name(), nullptr);
-
-  bool found = false;
-  for (const runtime::sched_delay::TaskDelaySnapshot& t : runtime::sched_delay::snapshot()) {
-    if (std::string(t.name) != "sched.submit") continue;
-    found = true;
-    EXPECT_GT(t.count, 0u);
-    EXPECT_GE(t.delay_ns_max, static_cast<std::uint64_t>(5 * kMs));
-    EXPECT_GE(t.delay_ns_total, static_cast<std::uint64_t>(5 * kMs));
-    EXPECT_GT(runtime::sched_delay::delay_quantile_ns(t, 0.99), 0u);
-  }
-  EXPECT_TRUE(found) << "no sched.submit row in the queue-delay table";
 }
 
 TEST(TaskScheduler, QueueDelayTracksPeriodicTasksByName) {

@@ -51,6 +51,14 @@ TEST(Duration, ParseFormats) {
   EXPECT_FALSE(parse_duration("s").ok());
 }
 
+TEST(Duration, OverflowIsAParseError) {
+  // 106751d is the largest whole number of days below 2^63 ns.
+  EXPECT_EQ(*parse_duration("106751d"), 106751 * 24 * util::kNanosPerHour);
+  EXPECT_FALSE(parse_duration("106752d").ok());
+  EXPECT_FALSE(parse_duration("9999999999999w").ok());
+  EXPECT_FALSE(parse_duration("106751d106751d").ok());  // the sum overflows
+}
+
 TEST(Duration, FormatLiteral) {
   EXPECT_EQ(format_duration_literal(10 * kSec), "10s");
   EXPECT_EQ(format_duration_literal(600 * kSec), "10m");
@@ -158,6 +166,15 @@ TEST(QueryParse, NowArithmetic) {
   const auto stmt = parse_query("SELECT v FROM m WHERE time >= now() - 10m", now);
   ASSERT_TRUE(stmt.ok()) << stmt.message();
   EXPECT_EQ(stmt->select.time_min, now - 10 * util::kNanosPerMinute);
+}
+
+TEST(QueryParse, NowArithmeticOverflowIsRejected) {
+  const TimeNs now = 1'700'000'000 * kSec;  // a 2023 wall clock
+  EXPECT_TRUE(parse_query("SELECT v FROM m WHERE time >= now() - 106751d", now).ok());
+  EXPECT_FALSE(parse_query("SELECT v FROM m WHERE time < now() + 106751d", now).ok());
+  EXPECT_FALSE(parse_query("SELECT v FROM m WHERE time < now() + 106752d", now).ok());
+  EXPECT_FALSE(
+      parse_query("SELECT v FROM m WHERE time >= now() - 106751d - 106751d", now).ok());
 }
 
 TEST(QueryParse, PercentileAndDerivative) {
@@ -270,6 +287,24 @@ TEST_F(QueryExec, GroupByTimeWindows) {
   EXPECT_EQ(r.series[0].values[1][0].as_int(), 20 * kSec);
   EXPECT_DOUBLE_EQ(r.series[0].values[1][1].as_double(), 2.5);
   EXPECT_DOUBLE_EQ(r.series[0].values[2][1].as_double(), 4.0);
+}
+
+TEST(QueryExecWindows, NegativeTimesRoundDownToTheirWindow) {
+  Database db("neg");
+  db.write(pt("m", "h1", "v", 1, -9), 0);
+  db.write(pt("m", "h1", "v", 2, -1), 0);
+  db.write(pt("m", "h1", "v", 4, 1), 0);
+  const auto stmt = parse_query("SELECT sum(v) FROM m GROUP BY time(10ns)", 0);
+  ASSERT_TRUE(stmt.ok()) << stmt.message();
+  const auto r = execute(db, *stmt);
+  ASSERT_TRUE(r.ok()) << r.message();
+  ASSERT_EQ(r->series.size(), 1u);
+  const auto& rows = r->series[0].values;
+  ASSERT_EQ(rows.size(), 2u);  // [-10, 0) and [0, 10), not one window at 0
+  EXPECT_EQ(rows[0][0].as_int(), -10);
+  EXPECT_DOUBLE_EQ(rows[0][1].as_double(), 3.0);
+  EXPECT_EQ(rows[1][0].as_int(), 0);
+  EXPECT_DOUBLE_EQ(rows[1][1].as_double(), 4.0);
 }
 
 TEST_F(QueryExec, GroupByTag) {
@@ -494,6 +529,11 @@ TEST(HttpApiTest, ErrorsAreInfluxJson) {
   resp = client.get("inproc://db/query?db=lms");
   EXPECT_EQ(resp->status, 400);
 
+  // A duration that overflows int64 nanoseconds is a parse error, not UB.
+  resp = client.get("inproc://db/query?db=lms&q=" +
+                    util::url_encode("SELECT v FROM m WHERE time < now() + 106752d"));
+  EXPECT_EQ(resp->status, 400);
+
   resp = client.post("inproc://db/write?db=lms", "totally broken", "text/plain");
   EXPECT_EQ(resp->status, 400);
   EXPECT_EQ(api.parse_errors(), 1u);
@@ -584,8 +624,8 @@ TEST(Storage, SnapshotProvidesStableView) {
 }
 
 TEST(Storage, ShardedDatabaseKeepsGlobalViewsSorted) {
-  Database db("t", 8);
-  EXPECT_EQ(db.shard_count(), 8u);
+  Database db("t");
+  EXPECT_EQ(db.shard_count(), Database::kDefaultShards);
   for (int i = 0; i < 64; ++i) {
     db.write(pt("cpu", "h" + std::to_string(i), "v", 1, 10 + i), 0);
     db.write(pt("mem", "h" + std::to_string(i), "used", 1, 10 + i), 0);
@@ -618,18 +658,6 @@ TEST(Storage, WriteBatchAppliesPrecisionScaleAndDefaultTime) {
   const auto& times = series[0]->columns.at("v").times();
   // 5s scaled to ns; the unstamped point gets default_time unscaled.
   EXPECT_EQ(times, (std::vector<TimeNs>{777, 5 * kSec}));
-}
-
-TEST(Storage, SingleStripeConfigStillWorks) {
-  Storage storage(1);  // the pre-sharding global-lock layout
-  storage.write("lms", {pt("cpu", "h1", "v", 1, 10), pt("cpu", "h2", "v", 2, 20)}, 0);
-  EXPECT_EQ(storage.find_database("lms")->shard_count(), 1u);
-  EXPECT_EQ(storage.totals().series, 2u);
-  Engine engine(storage);
-  auto r = engine.query("lms", "SELECT count(v) FROM cpu", 0);
-  ASSERT_TRUE(r.ok());
-  ASSERT_EQ(r->series.size(), 1u);
-  EXPECT_EQ(r->series[0].values[0][1].as_int(), 2);
 }
 
 // Concurrent writers + queries + retention on one sharded database. Sized to
