@@ -138,11 +138,14 @@ TEST(PerfGroupTest, SanitizeFieldKeys) {
             "memory_bandwidth_mbytes_per_s");
 }
 
-class BuiltinGroups
-    : public ::testing::TestWithParam<std::tuple<std::string, const CounterArchitecture*>> {};
+// The architecture is passed by name, not by pointer: gtest prints the parameter into the
+// test name, and a pointer would make the name change with every address-space layout.
+class BuiltinGroups : public ::testing::TestWithParam<std::tuple<std::string, std::string>> {};
 
 TEST_P(BuiltinGroups, ParseAndValidate) {
-  const auto& [name, arch] = GetParam();
+  const auto& [name, arch_name] = GetParam();
+  const CounterArchitecture* arch = find_architecture(arch_name);
+  ASSERT_NE(arch, nullptr) << arch_name;
   const auto text = builtin_group_text(name);
   ASSERT_FALSE(text.empty());
   auto group = PerfGroup::parse(name, text, *arch);
@@ -156,11 +159,11 @@ TEST_P(BuiltinGroups, ParseAndValidate) {
   }
 }
 
-std::vector<std::tuple<std::string, const CounterArchitecture*>> all_group_arch_combos() {
-  std::vector<std::tuple<std::string, const CounterArchitecture*>> out;
+std::vector<std::tuple<std::string, std::string>> all_group_arch_combos() {
+  std::vector<std::tuple<std::string, std::string>> out;
   for (const auto& name : builtin_group_names()) {
-    out.emplace_back(name, &simx86());
-    out.emplace_back(name, &simx86_small());
+    out.emplace_back(name, simx86().name);
+    out.emplace_back(name, simx86_small().name);
   }
   return out;
 }
@@ -169,8 +172,9 @@ INSTANTIATE_TEST_SUITE_P(AllGroupsBothArchs, BuiltinGroups,
                          ::testing::ValuesIn(all_group_arch_combos()),
                          [](const auto& param_info) {
                            return std::get<0>(param_info.param) + "_" +
-                                  (std::get<1>(param_info.param) == &simx86() ? "simx86"
-                                                                        : "simx86small");
+                                  (std::get<1>(param_info.param) == simx86().name
+                                       ? "simx86"
+                                       : "simx86small");
                          });
 
 TEST(PerfGroupTest, ParseRejectsInvalid) {
